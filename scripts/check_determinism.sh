@@ -367,3 +367,42 @@ print(f"OK: injected slowdown attributes to {INJECTED_TAG!r} "
 ' "$diff1"
 echo "OK: injected-slowdown diff is byte-identical across runs" \
      "($(wc -c < "$diff1") bytes)"
+
+# The prefill memo is process-wide, so a run's artifacts must not
+# depend on what the interpreter simulated before.  Warm the memo with a
+# fleet of a different seed, then emit the golden service snapshot and
+# critical-path document in that same interpreter: both must equal the
+# cold outputs above byte-for-byte.
+warm1=$(mktemp)
+warm2=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
+     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
+     "$noop1" "$par1" "$par2" "$cp1" "$cp2" "$diff1" "$diff2" \
+     "$warm1" "$warm2"' EXIT
+
+python -c '
+import sys
+from repro.core.pipeline import prefill_memo_stats
+from repro.eval import (default_fleet, fleet_report, golden_critpath_json,
+                        service_golden_snapshot)
+
+fleet_report(specs=default_fleet(12, seed=7), seed=7)
+warm = prefill_memo_stats()
+assert warm["entries"] > 0, warm
+with open(sys.argv[1], "w") as f:
+    print(service_golden_snapshot(seed=42), file=f)
+with open(sys.argv[2], "w") as f:
+    print(golden_critpath_json(seed=42), file=f)
+assert prefill_memo_stats()["hits"] > warm["hits"], "memo never hit"
+' "$warm1" "$warm2"
+if ! diff -u "$out1" "$warm1"; then
+    echo "FAIL: golden snapshot differs after warming the prefill memo" >&2
+    exit 1
+fi
+if ! cmp -s "$cp1" "$warm2"; then
+    echo "FAIL: golden critical-path document differs after warming" \
+         "the prefill memo" >&2
+    exit 1
+fi
+echo "OK: golden snapshot and critical-path document are byte-identical" \
+     "with a warm prefill memo"

@@ -22,7 +22,12 @@ from typing import Dict, Optional, Union
 
 from repro.core.decode import DecodeOptions, decode_latency_s
 from repro.core.hot_channels import HotChannelPolicy, shadow_weight_bytes
-from repro.core.pipeline import run_prefill
+from repro.core.pipeline import (
+    PREFILL_MEMO,
+    prefill_report,
+    run_prefill,
+    simulate_prefill,
+)
 from repro.core.residency import NpuResidencyPlan, plan_npu_residency
 from repro.core.results import InferenceReport, PrefillReport
 from repro.errors import EngineError
@@ -107,6 +112,7 @@ class LlmNpuEngine:
         #: and emits request-scoped spans itself.
         self.tracer = as_tracer(tracer)
         self._trace_clock_s = 0.0
+        self._metrics = None
         cfg = self.config
 
         self.build_options = BuildOptions(
@@ -143,6 +149,18 @@ class LlmNpuEngine:
             config = replace(config, **kwargs)
         return cls(model, device, config, fault_injector=fault_injector,
                    tracer=tracer)
+
+    def attach_metrics(self, registry) -> None:
+        """Mirror this engine's prefill-memo lookups into
+        ``prefill_memo_{hits,misses}_total`` counters of a
+        :class:`~repro.obs.metrics.MetricsRegistry`.
+
+        Opt-in only: whether a lookup hits depends on what the process
+        simulated before, so the service does not attach its registry
+        (its snapshot is an artifact that must be a function of the
+        seed).
+        """
+        self._metrics = registry
 
     def _make_shadow_profiles(self) -> Dict[int, ShadowProfile]:
         """Per-layer shadow profiles from the paper's measured statistics.
@@ -194,6 +212,12 @@ class LlmNpuEngine:
         ``cached_tokens`` reuses an existing KV cache from earlier turns
         (multi-turn conversations); reuse is chunk-aligned because the
         graphs have static shapes (§3.2).
+
+        With chunking, the schedule depends only on which prepared chunk
+        graphs run — ``(reused_chunks, n_chunks)`` — so it comes from
+        the process-wide :data:`~repro.core.pipeline.PREFILL_MEMO`,
+        keyed on the graph set's content fingerprint and the scheduling
+        arguments; the token accounting is rebuilt on every call.
         """
         if prompt_tokens <= 0:
             raise EngineError("prompt_tokens must be positive")
@@ -204,22 +228,31 @@ class LlmNpuEngine:
         if cfg.chunking:
             plans = self.graph.plans_for_prompt(prompt_tokens,
                                                 cached_tokens)
-            extra = 0.0
-        else:
-            # Fig. 7(a): one monolithic prompt graph, re-built and
-            # re-optimized for this prompt length (the naive NPU baseline).
-            rows = max(32, prompt_tokens)
-            plans = [self.builder.build_chunk(
-                0, rows,
-                self.shadow_profiles if include_shadow else None,
-            )]
-            extra = self.graph.naive_per_prompt_preparation_s()
+            key = (self.graph.fingerprint, cfg.float_backend, cfg.policy,
+                   include_shadow, cfg.shadow_backend,
+                   plans[0].chunk_index, len(plans))
+            schedule, hit = PREFILL_MEMO.lookup(key, lambda: simulate_prefill(
+                plans, float_backend=cfg.float_backend, policy=cfg.policy,
+                include_shadow=include_shadow,
+                shadow_backend=cfg.shadow_backend,
+            ))
+            if self._metrics is not None:
+                self._metrics.counter("prefill_memo_hits_total" if hit
+                                      else "prefill_memo_misses_total").inc()
+            return prefill_report(schedule, prompt_tokens)
+        # Fig. 7(a): one monolithic prompt graph, re-built and
+        # re-optimized for this prompt length (the naive NPU baseline).
+        rows = max(32, prompt_tokens)
+        plans = [self.builder.build_chunk(
+            0, rows,
+            self.shadow_profiles if include_shadow else None,
+        )]
         return run_prefill(
             plans, self.device, prompt_tokens,
             float_backend=cfg.float_backend,
             policy=cfg.policy,
             include_shadow=include_shadow,
-            extra_latency_s=extra,
+            extra_latency_s=self.graph.naive_per_prompt_preparation_s(),
             shadow_backend=cfg.shadow_backend,
         )
 
@@ -260,7 +293,9 @@ class LlmNpuEngine:
         decode_s = self.decode(total_context, output_tokens)
 
         energy_model = self.device.energy_model()
-        busy = dict(prefill.trace.busy_by_processor()) if prefill.trace else {}
+        prefill_busy = (prefill.trace.busy_by_processor()
+                        if prefill.trace else {})
+        busy = dict(prefill_busy)
         # During prefill the float backend plays a helper role (attention
         # GEMMs / shadow MatMuls / syncs: bandwidth-bound, few cores) and
         # draws a fraction of all-lanes power; decode runs the all-cores
@@ -276,8 +311,6 @@ class LlmNpuEngine:
         makespan = prefill.latency_s + decode_s
         energy = energy_model.energy(busy, makespan, helper_seconds=helper)
 
-        prefill_busy = (prefill.trace.busy_by_processor()
-                        if prefill.trace else {})
         prefill_energy = energy_model.energy(
             prefill_busy, prefill.latency_s,
             helper_seconds={

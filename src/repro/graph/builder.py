@@ -38,6 +38,7 @@ from repro.graph.ops import (
     SG_PRE_FFN,
     SG_QKV,
     SG_WO,
+    SUBGRAPHS_PER_BLOCK,
     ShadowSpec,
     SubgraphSpec,
 )
@@ -134,7 +135,8 @@ class GraphBuilder:
     replays the same chunk ladder).  Cache hits return a shallow copy
     (fresh ``subgraphs`` list / ``shadows`` dict over shared frozen
     specs), so callers may rearrange a plan without corrupting the
-    cache.
+    cache.  Across chunk positions the static subgraphs and shadow specs
+    are built once and shared; only attention is built per position.
     """
 
     def __init__(self, config: ModelConfig, device: SocSpec,
@@ -147,6 +149,10 @@ class GraphBuilder:
         ]
         self.npu: ProcessorSpec = device.npu
         self._plan_cache: Dict[Tuple, ChunkPlan] = {}
+        self._static_cache: Dict[Tuple, Tuple] = {}
+        #: Static-part builds (:meth:`_static_parts` misses): one per
+        #: distinct ``(chunk_len, shadow_profiles)`` this builder saw.
+        self.static_builds = 0
         self._metrics = None
 
     def attach_metrics(self, registry) -> None:
@@ -306,48 +312,33 @@ class GraphBuilder:
                           matmul_ops=2.0 * rows * profile.outlier_channels
                           * n_out)
 
-    # -- public API -----------------------------------------------------------
+    def _static_parts(self, chunk_len: int, profiles_key: Optional[Tuple],
+                      shadow_profiles: Optional[Dict[int, ShadowProfile]]
+                      ) -> Tuple[Tuple[Optional[SubgraphSpec], ...],
+                                 Dict[Tuple[int, int], ShadowSpec]]:
+        """The chunk-position-independent part of a chunk plan.
 
-    def build_chunk(self, chunk_index: int, chunk_len: int,
-                    shadow_profiles: Optional[Dict[int, ShadowProfile]] = None
-                    ) -> ChunkPlan:
-        """Build the plan for chunk ``chunk_index`` (0-based).
-
-        The static-shape constraint means every chunk executes with
-        ``rows = chunk_len``; the attention KV length grows with the chunk
-        index (``(i+1) * chunk_len``) per the §3.2 causal decomposition.
+        Every subgraph except attention, and every shadow spec, depends
+        only on ``rows = chunk_len`` — not on the chunk index — so they
+        are built once per ``(chunk_len, shadow_profiles)`` and the
+        frozen specs are shared by every chunk position (§3.2's shared
+        static subgraphs).  Attention slots are ``None``.
         """
-        if chunk_index < 0 or chunk_len <= 0:
-            raise GraphError(
-                f"invalid chunk index {chunk_index} / length {chunk_len}"
-            )
-        global _CACHE_HITS, _CACHE_MISSES
-        key = (
-            chunk_index, chunk_len,
-            None if shadow_profiles is None
-            else tuple(sorted(shadow_profiles.items())),
-        )
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            _CACHE_HITS += 1
-            if self._metrics is not None:
-                self._metrics.counter("graph_cache_hits_total").inc()
-            return ChunkPlan(cached.chunk_index, cached.chunk_len,
-                             cached.kv_len, list(cached.subgraphs),
-                             dict(cached.shadows))
-        _CACHE_MISSES += 1
-        if self._metrics is not None:
-            self._metrics.counter("graph_cache_misses_total").inc()
+        key = (chunk_len, profiles_key)
+        parts = self._static_cache.get(key)
+        if parts is not None:
+            return parts
+        self.static_builds += 1
         rows = chunk_len
-        kv_len = (chunk_index + 1) * chunk_len
         cfg = self.config
-        subgraphs: List[SubgraphSpec] = []
+        n_up = 2 if cfg.gated_ffn else 1
+        subgraphs: List[Optional[SubgraphSpec]] = []
         shadows: Dict[Tuple[int, int], ShadowSpec] = {}
         for layer in range(cfg.n_layers):
             subgraphs.extend([
                 self._pre_attn(layer, rows),
                 self._qkv(layer, rows),
-                self._attention(layer, rows, kv_len),
+                None,
                 self._wo(layer, rows),
                 self._pre_ffn(layer, rows),
                 self._ffn(layer, rows),
@@ -359,14 +350,57 @@ class GraphBuilder:
             shadows[(layer, SG_WO)] = self._shadow(
                 layer, SG_WO, rows, cfg.hidden_size, profile
             )
-            n_up = 2 if cfg.gated_ffn else 1
             shadows[(layer, SG_FFN)] = self._shadow(
                 layer, SG_FFN, rows, n_up * cfg.ffn_hidden + cfg.hidden_size,
                 profile,
             )
+        parts = (tuple(subgraphs), shadows)
+        self._static_cache[key] = parts
+        return parts
+
+    # -- public API -----------------------------------------------------------
+
+    def build_chunk(self, chunk_index: int, chunk_len: int,
+                    shadow_profiles: Optional[Dict[int, ShadowProfile]] = None
+                    ) -> ChunkPlan:
+        """Build the plan for chunk ``chunk_index`` (0-based).
+
+        The static-shape constraint means every chunk executes with
+        ``rows = chunk_len``; the attention KV length grows with the chunk
+        index (``(i+1) * chunk_len``) per the §3.2 causal decomposition.
+        Only attention is built per chunk position; the static subgraphs
+        and shadow specs come from :meth:`_static_parts`.
+        """
+        if chunk_index < 0 or chunk_len <= 0:
+            raise GraphError(
+                f"invalid chunk index {chunk_index} / length {chunk_len}"
+            )
+        global _CACHE_HITS, _CACHE_MISSES
+        profiles_key = (None if shadow_profiles is None
+                        else tuple(sorted(shadow_profiles.items())))
+        key = (chunk_index, chunk_len, profiles_key)
+        cached = self._plan_cache.get(key)
+        if cached is not None:
+            _CACHE_HITS += 1
+            if self._metrics is not None:
+                self._metrics.counter("graph_cache_hits_total").inc()
+            return ChunkPlan(cached.chunk_index, cached.chunk_len,
+                             cached.kv_len, list(cached.subgraphs),
+                             dict(cached.shadows))
+        _CACHE_MISSES += 1
+        if self._metrics is not None:
+            self._metrics.counter("graph_cache_misses_total").inc()
+        static, shadows = self._static_parts(chunk_len, profiles_key,
+                                             shadow_profiles)
+        kv_len = (chunk_index + 1) * chunk_len
+        subgraphs = list(static)
+        for layer in range(self.config.n_layers):
+            subgraphs[layer * SUBGRAPHS_PER_BLOCK + SG_ATTN] = \
+                self._attention(layer, chunk_len, kv_len)
         self._plan_cache[key] = ChunkPlan(chunk_index, chunk_len, kv_len,
                                           list(subgraphs), dict(shadows))
-        return ChunkPlan(chunk_index, chunk_len, kv_len, subgraphs, shadows)
+        return ChunkPlan(chunk_index, chunk_len, kv_len, subgraphs,
+                         dict(shadows))
 
     def npu_ops_per_block(self) -> int:
         """NPU-visible op count per block, for graph lifecycle costs."""

@@ -16,6 +16,7 @@ NPU, mirroring Figure 7:
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -104,6 +105,11 @@ class ChunkSharingGraph:
     ``max_chunks`` bounds the supported prompt length
     (``max_chunks * chunk_len`` tokens); dynamic attention subgraphs exist
     per chunk position, static subgraphs exist once.
+
+    :attr:`fingerprint` is a digest of everything a chunk plan is a
+    function of — model, device, build options, chunk length and shadow
+    profiles, by value — so two graph sets with equal fingerprints hold
+    equal plans at every position (the prefill memo's key).
     """
 
     def __init__(self, builder: GraphBuilder, chunk_len: int,
@@ -119,6 +125,11 @@ class ChunkSharingGraph:
             builder.build_chunk(i, chunk_len, shadow_profiles)
             for i in range(max_chunks)
         ]
+        content = (builder.config, builder.device, builder.options,
+                   chunk_len, None if shadow_profiles is None
+                   else sorted(shadow_profiles.items()))
+        self.fingerprint = hashlib.sha256(
+            repr(content).encode()).hexdigest()
 
     def plan_for_chunk(self, chunk_index: int) -> ChunkPlan:
         if not 0 <= chunk_index < self.max_chunks:

@@ -34,11 +34,35 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """A completed schedule."""
+    """A completed schedule.
+
+    :meth:`freeze` makes a trace immutable so it can be shared between
+    callers (the prefill memo hands one trace to every request of the
+    same shape): ``events`` becomes a tuple, :meth:`add` raises, and
+    :meth:`busy_by_processor` is computed once.
+    """
 
     events: List[TraceEvent] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self._busy: Optional[Dict[str, float]] = None
+
+    @property
+    def frozen(self) -> bool:
+        return isinstance(self.events, tuple)
+
+    def freeze(self) -> "Trace":
+        """Make this trace immutable (idempotent); returns ``self``."""
+        if not self.frozen:
+            self.events = tuple(self.events)
+        return self
+
     def add(self, event: TraceEvent) -> None:
+        if self.frozen:
+            raise SchedulingError(
+                f"cannot add event {event.task_id}: the trace is frozen "
+                f"(shared); build a new Trace from its events instead"
+            )
         if event.end_s < event.start_s:
             raise SchedulingError(
                 f"event {event.task_id} ends before it starts"
@@ -65,7 +89,15 @@ class Trace:
         return sum(e.duration_s for e in events)
 
     def busy_by_processor(self) -> Dict[str, float]:
-        return {p: self.busy_seconds(p) for p in self.processors()}
+        """Busy seconds per processor, in sorted processor order; a
+        fresh dict the caller may modify."""
+        if self._busy is not None:
+            return dict(self._busy)
+        busy = {p: self.busy_seconds(p) for p in self.processors()}
+        if self.frozen:
+            self._busy = busy
+            return dict(busy)
+        return busy
 
     def ops_by_processor(self) -> Dict[str, float]:
         """Total MatMul arithmetic work (MAC pairs ×2) per processor —
