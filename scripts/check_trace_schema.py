@@ -1,813 +1,62 @@
 #!/usr/bin/env python3
-"""Validate an observability export (stdlib only — CI-friendly).
+"""Validate observability exports with the ``repro.obs`` validators.
 
-Four modes, selectable by file content:
+    python scripts/check_trace_schema.py FILE [FILE ...]
 
-* ``*.jsonl`` event logs written by :func:`repro.obs.write_jsonl` —
-  one JSON object per line, each a ``span`` / ``instant`` / ``metric``
-  record.  Checks required keys, types, non-negative timestamps, span
-  end >= start, and that metric records carry a numeric payload.
-* Chrome-trace JSON written by :func:`repro.obs.export_service_trace`
-  (a single JSON array) — checks the metadata/body event shapes and
-  that no two complete events overlap on the same (pid, tid) track.
-* ``repro.profile/v1`` reports written by
-  :meth:`repro.obs.ProfileReport.save` (a JSON object whose ``schema``
-  key names the version) — checks the processor/operator/energy record
-  shapes and the conservation invariant: per processor,
-  busy + classified idle == window within 1e-9 s scaled by the merged
-  trace count, and per-operator busy sums to the owning processor's.
-* ``repro.bench/v1`` artifacts written by
-  :meth:`repro.obs.BenchArtifact.save` — checks that every metric has
-  a finite numeric ``value`` and a known ``direction`` and the ``env``
-  block is string-valued.
-* ``repro.alerts/v1`` incident timelines written by
-  :meth:`repro.obs.SloMonitor.timeline_json` / ``llmnpu monitor`` /
-  ``llmnpu fleet`` — checks that incidents reference declared SLOs and
-  rules, respect ``pending <= firing <= resolved``, never overlap for
-  the same ``(source, slo, rule)``, and that every firing incident
-  cross-links at least one request span or fault draw.
-* ``repro.fleet/v1`` reports written by ``llmnpu fleet`` — checks the
-  device records, the merged percentile blocks, and the embedded
-  alerts timeline (same invariants as above).
-* ``repro.steps/v1`` scheduler step logs written by
-  :meth:`repro.obs.StepLogger.save` / ``llmnpu explain --steplog-out``
-  — checks the step/decision/request record shapes, that every decision
-  uses the closed action taxonomy, and per-step work conservation:
-  the items' summed span equals the step window within 1e-9 s.
-* ``repro.critpath/v1`` critical-path documents written by
-  :func:`repro.obs.critpath_doc` / ``llmnpu critpath`` — checks the
-  per-path segment chains (telescoping starts, non-negative waits,
-  edges from the closed taxonomy) and the conservation invariant:
-  per path, sum(wait + duration) over the segments equals the
-  end-to-end latency within 1e-9 s, and slack is never negative.
-* ``repro.diff/v1`` run-to-run diffs written by
-  :func:`repro.obs.diff_json` / ``llmnpu diff`` — checks the segment
-  statuses against the closed taxonomy, that appeared/vanished
-  segments carry a zero base/new side, and (critpath kind) the
-  attribution conservation invariant: per aligned request, the
-  per-segment deltas sum to the observed e2e delta within the doc's
-  tolerance.
-* ``repro.benchdiff/v1`` delta reports written by
-  ``llmnpu bench-compare --json-out`` — checks the per-metric delta
-  records, verdict taxonomy, and that ``ok`` agrees with the
-  regression count.
-
-Schema strings and the decision taxonomy are loaded from
-``src/repro/obs/schemas.py`` *by file path*, so this checker and the
-writers can never disagree about them.  Files ending in ``.gz`` are
-transparently decompressed.
-
-Usage::
-
-    python scripts/check_trace_schema.py traces/service.jsonl \
-        traces/service_trace.json benchmarks/results/json/BENCH_*.json
-
-Exits non-zero with a line-numbered message on the first violation.
+Each file (plain or ``.gz``) goes to one validator, chosen by content:
+a JSON array to the Chrome-trace validator, a schema-stamped object to
+the ``repro.*/v1`` registry, anything else to the JSONL validator.
+Prints ``OK: <path>: <kind>`` per valid file; on the first violation
+prints ``FAIL: <path>: <message>`` to stderr and exits 1.
 """
 
-import gzip
-import importlib.util
 import json
-import math
 import os
 import sys
 
-SPAN_KEYS = {"type", "name", "cat", "proc", "thread", "start_s", "end_s",
-             "args"}
-INSTANT_KEYS = {"type", "name", "cat", "proc", "thread", "ts_s", "args"}
-METRIC_KINDS = {"counter", "gauge", "histogram"}
+# Run from a checkout without installing: import the program from src/.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from repro.errors import ReproError  # noqa: E402
+from repro.obs import (  # noqa: E402
+    SCHEMA_TABLE,
+    open_text,
+    validate_doc,
+    validate_jsonl,
+    validate_timeline,
+)
 
 
-def _load_schemas():
-    """The ``repro.*/v1`` constant table, loaded by file path.
-
-    ``src/repro/obs/schemas.py`` is dependency-free by contract, so the
-    checker executes the very module the writers import — schema strings
-    and the decision taxonomy cannot drift between the two.
-    """
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        os.pardir, "src", "repro", "obs", "schemas.py")
-    spec = importlib.util.spec_from_file_location("_repro_schemas", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_SCHEMAS = _load_schemas()
-PROFILE_SCHEMA = _SCHEMAS.PROFILE_SCHEMA
-BENCH_SCHEMA = _SCHEMAS.BENCH_SCHEMA
-ALERTS_SCHEMA = _SCHEMAS.ALERTS_SCHEMA
-FLEET_SCHEMA = _SCHEMAS.FLEET_SCHEMA
-STEPS_SCHEMA = _SCHEMAS.STEPS_SCHEMA
-CRITPATH_SCHEMA = _SCHEMAS.CRITPATH_SCHEMA
-DIFF_SCHEMA = _SCHEMAS.DIFF_SCHEMA
-BENCHDIFF_SCHEMA = _SCHEMAS.BENCHDIFF_SCHEMA
-DECISION_ACTIONS = set(_SCHEMAS.DECISION_ACTIONS)
-CRITPATH_EDGES = set(_SCHEMAS.CRITPATH_EDGES)
-DIFF_STATUSES = set(_SCHEMAS.DIFF_STATUSES)
-DIFF_KINDS = set(_SCHEMAS.DIFF_KINDS)
-CRITPATH_TOL_S = 1e-9
-ALERT_STATES = {"pending", "firing", "resolved"}
-LINK_KINDS = {"request", "fault"}
-IDLE_CAUSES = {"graph_build", "sync_wait", "dependency", "starvation"}
-PROFILE_TOL_S = 1e-9
-DIRECTIONS = {"lower", "higher", "info"}
+def check_file(path: str) -> str:
+    """Validate one file; returns what it held."""
+    with open_text(path) as f:
+        text = f.read()
+    if text.lstrip().startswith("["):
+        validate_timeline(json.loads(text))
+        return "Chrome trace"
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and "schema" in doc:
+        schema = validate_doc(doc)
+        return f"{schema} ({SCHEMA_TABLE[schema]})"
+    validate_jsonl(text.splitlines())
+    return "JSONL event log"
 
 
-def fail(msg):
-    print(f"FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def check_jsonl_record(record, where):
-    kind = record.get("type")
-    if kind == "span":
-        missing = SPAN_KEYS - set(record)
-        if missing:
-            fail(f"{where}: span missing keys {sorted(missing)}")
-        if not isinstance(record["start_s"], (int, float)) \
-                or not isinstance(record["end_s"], (int, float)):
-            fail(f"{where}: span timestamps must be numbers")
-        if record["end_s"] < record["start_s"]:
-            fail(f"{where}: span ends before it starts")
-        if record["start_s"] < 0:
-            fail(f"{where}: negative span start")
-    elif kind == "instant":
-        missing = INSTANT_KEYS - set(record)
-        if missing:
-            fail(f"{where}: instant missing keys {sorted(missing)}")
-        if not isinstance(record["ts_s"], (int, float)):
-            fail(f"{where}: instant timestamp must be a number")
-        if record["ts_s"] < 0:
-            fail(f"{where}: negative instant timestamp")
-    elif kind == "metric":
-        if record.get("kind") not in METRIC_KINDS:
-            fail(f"{where}: metric kind {record.get('kind')!r} not in "
-                 f"{sorted(METRIC_KINDS)}")
-        if not isinstance(record.get("labels"), dict):
-            fail(f"{where}: metric labels must be an object")
-        if record["kind"] == "histogram":
-            for key in ("count", "sum", "mean", "p50", "p95", "max"):
-                if not isinstance(record.get(key), (int, float)):
-                    fail(f"{where}: histogram missing numeric {key!r}")
-        elif not isinstance(record.get("value"), (int, float)):
-            fail(f"{where}: {record['kind']} missing numeric 'value'")
-    else:
-        fail(f"{where}: unknown record type {kind!r}")
-    return kind
-
-
-def check_jsonl(path):
-    counts = {"span": 0, "instant": 0, "metric": 0}
-    with _open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                fail(f"{path}:{lineno}: invalid JSON ({exc})")
-            counts[check_jsonl_record(record, f"{path}:{lineno}")] += 1
-    if counts["span"] == 0:
-        fail(f"{path}: no span records")
-    if counts["metric"] == 0:
-        fail(f"{path}: no metric records")
-    print(f"OK: {path}: {counts['span']} spans, {counts['instant']} "
-          f"instants, {counts['metric']} metrics")
-
-
-def check_chrome(path, events):
-    tracks = {}
-    named = set()
-    for i, e in enumerate(events):
-        where = f"{path}[{i}]"
-        ph = e.get("ph")
-        if ph == "M":
-            if e.get("name") not in ("process_name", "thread_name"):
-                fail(f"{where}: unknown metadata {e.get('name')!r}")
-            if "name" not in e.get("args", {}):
-                fail(f"{where}: metadata without args.name")
-            named.add((e["pid"], e.get("tid", 0)))
-        elif ph == "X":
-            for key in ("name", "cat", "pid", "tid", "ts", "dur"):
-                if key not in e:
-                    fail(f"{where}: complete event missing {key!r}")
-            if e["dur"] < 0 or e["ts"] < 0:
-                fail(f"{where}: negative ts/dur")
-            tracks.setdefault((e["pid"], e["tid"]), []).append(e)
-        elif ph == "i":
-            for key in ("name", "pid", "tid", "ts"):
-                if key not in e:
-                    fail(f"{where}: instant event missing {key!r}")
-        elif ph == "C":
-            # Perfetto counter samples (scheduler queue depth / batch
-            # occupancy / KV headroom tracks).
-            for key in ("name", "pid", "tid", "ts", "args"):
-                if key not in e:
-                    fail(f"{where}: counter event missing {key!r}")
-            if not isinstance(e["args"], dict) or not e["args"]:
-                fail(f"{where}: counter event needs a non-empty "
-                     f"args series")
-            for series, value in e["args"].items():
-                if not isinstance(value, (int, float)) \
-                        or isinstance(value, bool):
-                    fail(f"{where}: counter series {series!r} must be "
-                         f"numeric")
-        else:
-            fail(f"{where}: unknown phase {ph!r}")
-    n_overlap_checked = 0
-    for (pid, tid), track in sorted(tracks.items()):
-        if not any(p == pid for p, _t in named):
-            fail(f"{path}: pid {pid} has events but no process_name")
-        track.sort(key=lambda ev: (ev["ts"], ev["ts"] + ev["dur"]))
-        for a, b in zip(track, track[1:]):
-            n_overlap_checked += 1
-            if b["ts"] < a["ts"] + a["dur"] - 1e-6:  # 1e-12 s in µs
-                fail(f"{path}: pid {pid} tid {tid}: {a['name']!r} and "
-                     f"{b['name']!r} overlap")
-    if not tracks:
-        fail(f"{path}: no complete events")
-    print(f"OK: {path}: {sum(map(len, tracks.values()))} spans on "
-          f"{len(tracks)} tracks, serial per track "
-          f"({n_overlap_checked} adjacencies checked)")
-
-
-def _finite(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
-def check_profile(path, doc):
-    for key in ("window_s", "n_traces", "processors", "operators",
-                "phases", "energy", "flamegraph"):
-        if key not in doc:
-            fail(f"{path}: profile missing {key!r}")
-    if not _finite(doc["window_s"]) or doc["window_s"] < 0:
-        fail(f"{path}: window_s must be a non-negative number")
-    if not isinstance(doc["n_traces"], int) or doc["n_traces"] < 0:
-        fail(f"{path}: n_traces must be a non-negative integer")
-    tol = PROFILE_TOL_S * max(1, doc["n_traces"])
-    busy_by_proc = {}
-    for i, proc in enumerate(doc["processors"]):
-        where = f"{path}: processors[{i}]"
-        for key in ("proc", "busy_s", "span_s", "idle_s", "idle_by_cause",
-                    "matmul_busy_s", "matmul_ops"):
-            if key not in proc:
-                fail(f"{where}: missing {key!r}")
-        for key in ("busy_s", "span_s", "idle_s", "matmul_busy_s",
-                    "matmul_ops"):
-            if not _finite(proc[key]) or proc[key] < 0:
-                fail(f"{where}: {key!r} must be a non-negative number")
-        idle = proc["idle_by_cause"]
-        if set(idle) != IDLE_CAUSES:
-            fail(f"{where}: idle causes {sorted(idle)} != "
-                 f"{sorted(IDLE_CAUSES)}")
-        if any(not _finite(v) or v < 0 for v in idle.values()):
-            fail(f"{where}: idle seconds must be non-negative numbers")
-        if abs(sum(idle.values()) - proc["idle_s"]) > tol:
-            fail(f"{where}: idle_by_cause does not sum to idle_s")
-        gap = abs(proc["busy_s"] + proc["idle_s"] - doc["window_s"])
-        if gap > tol:
-            fail(f"{where}: busy + idle != window "
-                 f"(off by {gap:.3e} s > {tol:.3e} s)")
-        if proc["proc"] in busy_by_proc:
-            fail(f"{where}: duplicate processor {proc['proc']!r}")
-        busy_by_proc[proc["proc"]] = proc["busy_s"]
-    op_busy = dict.fromkeys(busy_by_proc, 0.0)
-    for i, op in enumerate(doc["operators"]):
-        where = f"{path}: operators[{i}]"
-        for key in ("proc", "tag", "n_events", "busy_s", "ops"):
-            if key not in op:
-                fail(f"{where}: missing {key!r}")
-        if op["proc"] not in busy_by_proc:
-            fail(f"{where}: unknown processor {op['proc']!r}")
-        if not _finite(op["busy_s"]) or op["busy_s"] < 0:
-            fail(f"{where}: busy_s must be a non-negative number")
-        op_busy[op["proc"]] += op["busy_s"]
-    for proc, total in sorted(op_busy.items()):
-        if abs(total - busy_by_proc[proc]) > tol:
-            fail(f"{path}: operator busy on {proc!r} does not sum to "
-                 f"processor busy")
-    energy = doc["energy"]
-    if energy is not None:
-        for key in ("per_processor", "platform_j", "total_j"):
-            if key not in energy:
-                fail(f"{path}: energy missing {key!r}")
-        attributed = energy["platform_j"]
-        for proc in sorted(energy["per_processor"]):
-            section = energy["per_processor"][proc]
-            for key in ("tags", "idle_j", "total_j"):
-                if key not in section:
-                    fail(f"{path}: energy[{proc!r}] missing {key!r}")
-            if abs(sum(section["tags"].values()) + section["idle_j"]
-                   - section["total_j"]) > tol:
-                fail(f"{path}: energy[{proc!r}] tags + idle != total")
-            attributed += section["total_j"]
-        if abs(attributed - energy["total_j"]) > tol:
-            fail(f"{path}: energy components do not sum to total_j")
-    for i, line in enumerate(doc["flamegraph"]):
-        parts = line.rsplit(" ", 1)
-        if len(parts) != 2 or not parts[1].isdigit():
-            fail(f"{path}: flamegraph[{i}] not 'stack <integer-ns>': "
-                 f"{line!r}")
-    metrics = doc.get("metrics")
-    if metrics is not None:
-        if not isinstance(metrics, list):
-            fail(f"{path}: metrics must be a snapshot list")
-        for i, record in enumerate(metrics):
-            where = f"{path}: metrics[{i}]"
-            kind = record.get("kind")
-            if kind not in METRIC_KINDS:
-                fail(f"{where}: metric kind {kind!r} not in "
-                     f"{sorted(METRIC_KINDS)}")
-            if kind == "histogram":
-                empty = record.get("count", 0) == 0
-                for key in ("p50", "p95", "max"):
-                    value = record.get(key)
-                    # Null percentiles are legal only for empty histograms.
-                    if empty and value is not None:
-                        fail(f"{where}: empty histogram with non-null "
-                             f"{key!r}")
-                    if not empty and not _finite(value):
-                        fail(f"{where}: histogram has count > 0 but "
-                             f"non-numeric {key!r}")
-            elif not _finite(record.get("value")):
-                fail(f"{where}: {kind} missing numeric 'value'")
-    print(f"OK: {path}: profile over {len(doc['processors'])} processors, "
-          f"{len(doc['operators'])} operator buckets, "
-          f"{len(doc['flamegraph'])} stacks "
-          f"(conservation within {tol:.1e} s)")
-
-
-def check_bench(path, doc):
-    for key in ("name", "metrics", "env"):
-        if key not in doc:
-            fail(f"{path}: artifact missing {key!r}")
-    if not isinstance(doc["metrics"], dict) or not doc["metrics"]:
-        fail(f"{path}: metrics must be a non-empty object")
-    for metric in sorted(doc["metrics"]):
-        record = doc["metrics"][metric]
-        where = f"{path}: metric {metric!r}"
-        if not isinstance(record, dict):
-            fail(f"{where}: record must be an object")
-        if not _finite(record.get("value")):
-            fail(f"{where}: 'value' must be a finite number")
-        if record.get("direction") not in DIRECTIONS:
-            fail(f"{where}: direction {record.get('direction')!r} not in "
-                 f"{sorted(DIRECTIONS)}")
-    if not isinstance(doc["env"], dict):
-        fail(f"{path}: env must be an object")
-    for key in sorted(doc["env"]):
-        if not isinstance(doc["env"][key], str):
-            fail(f"{path}: env[{key!r}] must be a string")
-    print(f"OK: {path}: artifact {doc['name']!r} with "
-          f"{len(doc['metrics'])} metrics")
-
-
-def check_alerts(path, doc, quiet=False):
-    for key in ("source", "start_s", "end_s", "n_request_events",
-                "n_fault_events", "slos", "rules", "incidents"):
-        if key not in doc:
-            fail(f"{path}: alerts timeline missing {key!r}")
-    slo_names = set()
-    for i, slo in enumerate(doc["slos"]):
-        where = f"{path}: slos[{i}]"
-        for key in ("name", "objective", "target", "n_events", "n_bad",
-                    "good_fraction", "met"):
-            if key not in slo:
-                fail(f"{where}: missing {key!r}")
-        if not _finite(slo["target"]) or not 0 < slo["target"] < 1:
-            fail(f"{where}: target must be in (0, 1)")
-        slo_names.add(slo["name"])
-    rule_names = set()
-    for i, rule in enumerate(doc["rules"]):
-        where = f"{path}: rules[{i}]"
-        for key in ("name", "long_window_s", "short_window_s",
-                    "max_burn_rate", "for_s", "severity"):
-            if key not in rule:
-                fail(f"{where}: missing {key!r}")
-        if rule["short_window_s"] > rule["long_window_s"]:
-            fail(f"{where}: short window exceeds long window")
-        rule_names.add(rule["name"])
-    n_firing = 0
-    by_pair = {}
-    for i, inc in enumerate(doc["incidents"]):
-        where = f"{path}: incidents[{i}]"
-        for key in ("slo", "rule", "severity", "state", "pending_s",
-                    "firing_s", "resolved_s", "peak_burn_rate", "links"):
-            if key not in inc:
-                fail(f"{where}: missing {key!r}")
-        if inc["slo"] not in slo_names:
-            fail(f"{where}: unknown SLO {inc['slo']!r}")
-        if inc["rule"] not in rule_names:
-            fail(f"{where}: unknown rule {inc['rule']!r}")
-        if inc["state"] not in ALERT_STATES:
-            fail(f"{where}: unknown state {inc['state']!r}")
-        pending, firing, resolved = (inc["pending_s"], inc["firing_s"],
-                                     inc["resolved_s"])
-        if not _finite(pending):
-            fail(f"{where}: pending_s must be a finite number")
-        if firing is not None:
-            n_firing += 1
-            if not _finite(firing) or firing < pending:
-                fail(f"{where}: firing_s must be >= pending_s")
-            if not inc["links"]:
-                fail(f"{where}: firing incident with no cross-links")
-        if resolved is not None:
-            anchor = pending if firing is None else firing
-            if not _finite(resolved) or resolved < anchor:
-                fail(f"{where}: resolved_s precedes "
-                     f"{'firing' if firing is not None else 'pending'}_s")
-        for j, link in enumerate(inc["links"]):
-            if link.get("kind") not in LINK_KINDS:
-                fail(f"{where}: links[{j}] kind {link.get('kind')!r} "
-                     f"not in {sorted(LINK_KINDS)}")
-            need = ("request_id", "track") if link["kind"] == "request" \
-                else ("draw", "fault")
-            for key in need:
-                if key not in link:
-                    fail(f"{where}: links[{j}] missing {key!r}")
-        pair = (inc.get("source", doc["source"]), inc["slo"], inc["rule"])
-        by_pair.setdefault(pair, []).append((i, inc))
-    for pair in sorted(by_pair):
-        ordered = sorted(by_pair[pair], key=lambda item: item[1]["pending_s"])
-        for (_, a), (bi, b) in zip(ordered, ordered[1:]):
-            if a["resolved_s"] is None:
-                fail(f"{path}: incidents[{bi}]: {pair} has a new incident "
-                     f"while an earlier one is still open")
-            if b["pending_s"] < a["resolved_s"]:
-                fail(f"{path}: incidents[{bi}]: {pair} incidents overlap "
-                     f"({b['pending_s']!r} < {a['resolved_s']!r})")
-    if not quiet:
-        print(f"OK: {path}: alerts timeline from {doc['source']!r}: "
-              f"{len(doc['incidents'])} incidents ({n_firing} fired) over "
-              f"{len(slo_names)} SLOs x {len(rule_names)} rules, "
-              f"non-overlapping per (source, slo, rule)")
-
-
-def check_fleet(path, doc):
-    for key in ("n_devices", "devices", "percentiles", "sketches",
-                "alerts"):
-        if key not in doc:
-            fail(f"{path}: fleet report missing {key!r}")
-    if len(doc["devices"]) != doc["n_devices"]:
-        fail(f"{path}: n_devices != len(devices)")
-    for i, device in enumerate(doc["devices"]):
-        where = f"{path}: devices[{i}]"
-        for key in ("name", "device", "seed", "n_requests", "n_completed",
-                    "n_incidents", "n_firing", "ttft_p50_s", "ttft_p95_s",
-                    "mean_itl_s", "goodput_rps"):
-            if key not in device:
-                fail(f"{where}: missing {key!r}")
-        for key in ("ttft_p50_s", "ttft_p95_s", "mean_itl_s"):
-            value = device[key]
-            if value is not None and not _finite(value):
-                fail(f"{where}: non-finite {key!r}")
-        if not _finite(device["goodput_rps"]) or device["goodput_rps"] < 0:
-            fail(f"{where}: goodput_rps must be finite and non-negative")
-    for key in sorted(doc["percentiles"]):
-        snap = doc["percentiles"][key]
-        where = f"{path}: percentiles[{key!r}]"
-        if not isinstance(snap.get("count"), int) or snap["count"] < 0:
-            fail(f"{where}: count must be a non-negative integer")
-        for stat in ("p50", "p90", "p95", "p99", "max"):
-            value = snap.get(stat)
-            if snap["count"] == 0:
-                if value is not None:
-                    fail(f"{where}: empty sketch with non-null {stat!r}")
-            elif not _finite(value):
-                fail(f"{where}: non-finite {stat!r}")
-        if key not in doc["sketches"]:
-            fail(f"{where}: no matching sketch payload")
-    if doc["alerts"].get("schema") != ALERTS_SCHEMA:
-        fail(f"{path}: embedded alerts schema is "
-             f"{doc['alerts'].get('schema')!r}")
-    check_alerts(path, doc["alerts"], quiet=True)
-    print(f"OK: {path}: fleet report over {doc['n_devices']} devices, "
-          f"{len(doc['percentiles'])} merged percentile keys, "
-          f"{len(doc['alerts']['incidents'])} incidents")
-
-
-def check_steps(path, doc):
-    """``repro.steps/v1``: the invariants of
-    ``repro.obs.steplog.validate_steps_doc``, stdlib-only."""
-    for key in ("source", "n_steps", "n_requests", "n_decisions",
-                "steps", "decisions", "requests"):
-        if key not in doc:
-            fail(f"{path}: step log missing {key!r}")
-    for key in ("steps", "decisions", "requests"):
-        if not isinstance(doc[key], list):
-            fail(f"{path}: {key!r} must be a list")
-    if doc["n_steps"] != len(doc["steps"]):
-        fail(f"{path}: n_steps != len(steps)")
-    if doc["n_requests"] != len(doc["requests"]):
-        fail(f"{path}: n_requests != len(requests)")
-    if doc["n_decisions"] != len(doc["decisions"]):
-        fail(f"{path}: n_decisions != len(decisions)")
-    for i, step in enumerate(doc["steps"]):
-        where = f"{path}: steps[{i}]"
-        for key in ("index", "start_s", "end_s", "n_inflight",
-                    "batch_tokens", "items", "queued_ids",
-                    "queue_depths"):
-            if key not in step:
-                fail(f"{where}: missing {key!r}")
-        if not _finite(step["start_s"]) or not _finite(step["end_s"]):
-            fail(f"{where}: step window must be finite")
-        if step["end_s"] < step["start_s"]:
-            fail(f"{where}: step ends before it starts")
-        span = sum(it["end_s"] - it["start_s"] for it in step["items"])
-        window = step["end_s"] - step["start_s"]
-        if abs(span - window) > 1e-9:
-            fail(f"{where}: items span {span!r} != step window "
-                 f"{window!r} (work conservation)")
-    for i, dec in enumerate(doc["decisions"]):
-        where = f"{path}: decisions[{i}]"
-        for key in ("t_s", "request_id", "action", "tier"):
-            if key not in dec:
-                fail(f"{where}: missing {key!r}")
-        if dec["action"] not in DECISION_ACTIONS:
-            fail(f"{where}: unknown action {dec['action']!r}")
-        if not _finite(dec["t_s"]):
-            fail(f"{where}: t_s must be a finite number")
-    for i, req in enumerate(doc["requests"]):
-        where = f"{path}: requests[{i}]"
-        for key in ("request_id", "tier", "status", "arrival_s",
-                    "start_s", "finish_s", "breakdown"):
-            if key not in req:
-                fail(f"{where}: missing {key!r}")
-        breakdown = req["breakdown"]
-        for key in ("queue_s", "admission_s", "retry_s", "prefill_s",
-                    "decode_s", "turnaround_s"):
-            if not _finite(breakdown.get(key)):
-                fail(f"{where}: breakdown missing numeric {key!r}")
-    print(f"OK: {path}: step log from {doc['source']!r}: "
-          f"{len(doc['steps'])} steps, {len(doc['decisions'])} "
-          f"decisions, {len(doc['requests'])} requests")
-
-
-def check_critpath(path, doc):
-    """``repro.critpath/v1``: the invariants of
-    ``repro.obs.critical_path.validate_critical_path``, stdlib-only."""
-    for key in ("source", "n_paths", "paths", "totals"):
-        if key not in doc:
-            fail(f"{path}: critpath doc missing {key!r}")
-    if not isinstance(doc["paths"], list) or not doc["paths"]:
-        fail(f"{path}: 'paths' must be a non-empty list")
-    if doc["n_paths"] != len(doc["paths"]):
-        fail(f"{path}: n_paths != len(paths)")
-    total_work = 0.0
-    total_wait = 0.0
-    by_proc = {}
-    by_tag = {}
-    for i, p in enumerate(doc["paths"]):
-        where = f"{path}: paths[{i}]"
-        for key in ("source", "origin_s", "e2e_s", "n_events",
-                    "n_segments", "work_s", "wait_s", "by_proc",
-                    "by_tag", "segments", "slack"):
-            if key not in p:
-                fail(f"{where}: missing {key!r}")
-        if p["n_segments"] != len(p["segments"]):
-            fail(f"{where}: n_segments != len(segments)")
-        if not _finite(p["origin_s"]) or not _finite(p["e2e_s"]):
-            fail(f"{where}: origin_s/e2e_s must be finite")
-        prev_end = p["origin_s"]
-        covered = 0.0
-        work = 0.0
-        for j, seg in enumerate(p["segments"]):
-            sw = f"{where}: segments[{j}]"
-            for key in ("task_id", "proc", "tag", "start_s", "end_s",
-                        "duration_s", "wait_s", "edge"):
-                if key not in seg:
-                    fail(f"{sw}: missing {key!r}")
-            for key in ("start_s", "end_s", "duration_s", "wait_s"):
-                if not _finite(seg[key]):
-                    fail(f"{sw}: non-finite {key!r}")
-            if seg["edge"] not in CRITPATH_EDGES:
-                fail(f"{sw}: unknown edge {seg['edge']!r} (expected one "
-                     f"of {sorted(CRITPATH_EDGES)})")
-            if abs(seg["duration_s"] - (seg["end_s"] - seg["start_s"])) \
-                    > CRITPATH_TOL_S:
-                fail(f"{sw}: duration_s != end_s - start_s")
-            if seg["wait_s"] < -CRITPATH_TOL_S:
-                fail(f"{sw}: negative wait {seg['wait_s']!r}")
-            if abs(seg["start_s"] - (prev_end + seg["wait_s"])) \
-                    > CRITPATH_TOL_S:
-                fail(f"{sw}: start_s != previous end + wait_s "
-                     f"(chain broken)")
-            covered += seg["wait_s"] + seg["duration_s"]
-            work += seg["duration_s"]
-            prev_end = seg["end_s"]
-        if abs(covered - p["e2e_s"]) > CRITPATH_TOL_S:
-            fail(f"{where}: sum(wait + duration) {covered!r} != e2e_s "
-                 f"{p['e2e_s']!r} (conservation)")
-        if abs(work - p["work_s"]) > CRITPATH_TOL_S:
-            fail(f"{where}: segment durations do not sum to work_s")
-        for block in ("by_proc", "by_tag"):
-            acc = sum(p[block].values())
-            if abs(acc - work) > CRITPATH_TOL_S:
-                fail(f"{where}: {block} sums to {acc!r}, not on-path "
-                     f"work {work!r}")
-        for j, rec in enumerate(p["slack"]):
-            sw = f"{where}: slack[{j}]"
-            for key in ("task_id", "proc", "tag", "start_s", "end_s",
-                        "slack_s"):
-                if key not in rec:
-                    fail(f"{sw}: missing {key!r}")
-            if not _finite(rec["slack_s"]) \
-                    or rec["slack_s"] < -CRITPATH_TOL_S:
-                fail(f"{sw}: slack must be finite and non-negative, "
-                     f"got {rec['slack_s']!r}")
-        total_work += work
-        total_wait += p["wait_s"]
-        for block, acc in (("by_proc", by_proc), ("by_tag", by_tag)):
-            for key, s in p[block].items():
-                acc[key] = acc.get(key, 0.0) + s
-    totals = doc["totals"]
-    n = len(doc["paths"])
-    if abs(totals.get("work_s", math.nan) - total_work) \
-            > CRITPATH_TOL_S * n:
-        fail(f"{path}: totals.work_s != sum of per-path work")
-    if abs(totals.get("wait_s", math.nan) - total_wait) \
-            > CRITPATH_TOL_S * n:
-        fail(f"{path}: totals.wait_s != sum of per-path waits")
-    for block, acc in (("by_proc", by_proc), ("by_tag", by_tag)):
-        declared = totals.get(block, {})
-        if sorted(declared) != sorted(acc):
-            fail(f"{path}: totals.{block} keys do not match the paths")
-        for key in acc:
-            if abs(declared[key] - acc[key]) > CRITPATH_TOL_S * n:
-                fail(f"{path}: totals.{block}[{key!r}] drifts from the "
-                     f"per-path sum")
-    print(f"OK: {path}: critpath doc from {doc['source']!r}: {n} paths, "
-          f"{sum(p['n_segments'] for p in doc['paths'])} on-path "
-          f"segments, work {total_work:.6f} s + waits {total_wait:.6f} s")
-
-
-VERDICTS = {"ok", "improved", "regressed", "missing", "new"}
-
-
-def check_diff(path, doc):
-    """``repro.diff/v1``: the invariants of
-    ``repro.obs.diff.validate_diff``, stdlib-only."""
-    for key in ("kind", "tol_s", "base", "new", "identical"):
-        if key not in doc:
-            fail(f"{path}: diff doc missing {key!r}")
-    kind = doc["kind"]
-    if kind not in DIFF_KINDS:
-        fail(f"{path}: unknown diff kind {kind!r} (expected one of "
-             f"{sorted(DIFF_KINDS)})")
-    tol = doc["tol_s"]
-    if not _finite(tol) or tol <= 0:
-        fail(f"{path}: tol_s must be a positive number")
-    if kind != "critpath":
-        print(f"OK: {path}: {kind} diff "
-              f"({'identical' if doc['identical'] else 'differs'})")
-        return
-    for key in ("e2e", "n_requests", "only_base", "only_new", "by_stage",
-                "by_proc", "by_status", "top_contributors", "requests"):
-        if key not in doc:
-            fail(f"{path}: critpath diff missing {key!r}")
-    if set(doc["by_status"]) != DIFF_STATUSES:
-        fail(f"{path}: by_status keys {sorted(doc['by_status'])} != "
-             f"{sorted(DIFF_STATUSES)}")
-    if doc["n_requests"] != len(doc["requests"]):
-        fail(f"{path}: n_requests != len(requests)")
-    worst = 0.0
-    changed = bool(doc["only_base"] or doc["only_new"])
-    for i, req in enumerate(doc["requests"]):
-        where = f"{path}: requests[{i}]"
-        for key in ("source", "base_e2e_s", "new_e2e_s", "delta_s",
-                    "attributed_s", "residual_s", "segments"):
-            if key not in req:
-                fail(f"{where}: missing {key!r}")
-        attributed = 0.0
-        for j, seg in enumerate(req["segments"]):
-            sw = f"{where}: segments[{j}]"
-            for key in ("task_id", "tag", "base_s", "new_s", "delta_s",
-                        "status"):
-                if key not in seg:
-                    fail(f"{sw}: missing {key!r}")
-            if seg["status"] not in DIFF_STATUSES:
-                fail(f"{sw}: unknown status {seg['status']!r}")
-            if seg["status"] == "appeared" and seg["base_s"] != 0.0:
-                fail(f"{sw}: appeared segment with nonzero base_s")
-            if seg["status"] == "vanished" and seg["new_s"] != 0.0:
-                fail(f"{sw}: vanished segment with nonzero new_s")
-            if abs(seg["delta_s"] - (seg["new_s"] - seg["base_s"])) > tol:
-                fail(f"{sw}: delta_s != new_s - base_s")
-            if seg["status"] != "unchanged":
-                changed = True
-            attributed += seg["delta_s"]
-        # ACCEPTANCE: attribution conservation — the per-segment deltas
-        # telescope to the observed e2e delta of the aligned request.
-        e2e_delta = req["new_e2e_s"] - req["base_e2e_s"]
-        residual = abs(attributed - e2e_delta)
-        worst = max(worst, residual)
-        if residual > tol:
-            fail(f"{where}: per-segment deltas sum to {attributed!r} but "
-                 f"e2e moved {e2e_delta!r} (residual {residual:.3e} s > "
-                 f"{tol:.1e} s)")
-        if abs(req["delta_s"]) > tol:
-            changed = True
-    if doc["identical"] and changed:
-        fail(f"{path}: diff marked identical but segments moved")
-    print(f"OK: {path}: critpath diff over {doc['n_requests']} aligned "
-          f"requests, attribution telescopes to the e2e delta "
-          f"(worst residual {worst:.3e} s <= {tol:.1e} s); "
-          f"{'identical' if doc['identical'] else 'differs'}")
-
-
-def check_benchdiff(path, doc):
-    """``repro.benchdiff/v1``: bench-compare delta report shape."""
-    for key in ("baseline", "candidate", "rel_tol", "abs_tol", "ok",
-                "n_metrics", "n_regressed", "deltas"):
-        if key not in doc:
-            fail(f"{path}: benchdiff missing {key!r}")
-    if doc["n_metrics"] != len(doc["deltas"]):
-        fail(f"{path}: n_metrics != len(deltas)")
-    n_regressed = 0
-    for i, d in enumerate(doc["deltas"]):
-        where = f"{path}: deltas[{i}]"
-        for key in ("metric", "direction", "baseline", "candidate",
-                    "delta", "rel_delta", "verdict"):
-            if key not in d:
-                fail(f"{where}: missing {key!r}")
-        if d["direction"] not in DIRECTIONS:
-            fail(f"{where}: direction {d['direction']!r} not in "
-                 f"{sorted(DIRECTIONS)}")
-        if d["verdict"] not in VERDICTS:
-            fail(f"{where}: verdict {d['verdict']!r} not in "
-                 f"{sorted(VERDICTS)}")
-        for key in ("baseline", "candidate", "delta", "rel_delta"):
-            if d[key] is not None and not _finite(d[key]):
-                fail(f"{where}: {key!r} must be null or finite")
-        if d["verdict"] in ("regressed", "missing"):
-            n_regressed += 1
-    if n_regressed != doc["n_regressed"]:
-        fail(f"{path}: n_regressed {doc['n_regressed']!r} != gating "
-             f"verdict count {n_regressed}")
-    if doc["ok"] != (n_regressed == 0):
-        fail(f"{path}: ok flag disagrees with the regression count")
-    print(f"OK: {path}: benchdiff {doc['baseline']!r} -> "
-          f"{doc['candidate']!r}: {doc['n_metrics']} metrics, "
-          f"{doc['n_regressed']} regressed")
-
-
-def _open(path):
-    """Open ``path`` for text reading, decompressing ``.gz`` files."""
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path)
-
-
-def check_file(path):
-    with _open(path) as f:
-        head = f.read(1)
-    if head == "[":
-        with _open(path) as f:
-            check_chrome(path, json.load(f))
-    elif head == "{":
-        # Either a schema-stamped report/artifact (one JSON object) or a
-        # JSONL event log (one object per line, not valid as a whole).
-        try:
-            with _open(path) as f:
-                doc = json.load(f)
-        except json.JSONDecodeError:
-            doc = None
-        if isinstance(doc, dict) and "schema" in doc:
-            schema = doc["schema"]
-            if schema == PROFILE_SCHEMA:
-                check_profile(path, doc)
-            elif schema == BENCH_SCHEMA:
-                check_bench(path, doc)
-            elif schema == ALERTS_SCHEMA:
-                check_alerts(path, doc)
-            elif schema == FLEET_SCHEMA:
-                check_fleet(path, doc)
-            elif schema == STEPS_SCHEMA:
-                check_steps(path, doc)
-            elif schema == CRITPATH_SCHEMA:
-                check_critpath(path, doc)
-            elif schema == DIFF_SCHEMA:
-                check_diff(path, doc)
-            elif schema == BENCHDIFF_SCHEMA:
-                check_benchdiff(path, doc)
-            else:
-                fail(f"{path}: unknown schema {schema!r} (expected one "
-                     f"of {sorted(_SCHEMAS.SCHEMA_TABLE)})")
-        else:
-            check_jsonl(path)
-    else:
-        check_jsonl(path)
-
-
-def main(argv):
+def main(argv) -> int:
     if not argv:
         print(__doc__)
         return 2
     for path in argv:
-        check_file(path)
+        try:
+            kind = check_file(path)
+        except (ReproError, OSError, ValueError) as exc:
+            print(f"FAIL: {path}: {exc}", file=sys.stderr)
+            return 1
+        print(f"OK: {path}: {kind}")
     return 0
 
 

@@ -15,6 +15,7 @@ import sys
 import time
 from typing import Dict, List
 
+from repro.errors import ReproError
 from repro.eval import (
     ablation_chunk_length,
     calibration_dashboard,
@@ -143,9 +144,8 @@ def cmd_run(args) -> int:
                         else args.experiment)
     for name in names:
         if name not in EXPERIMENTS:
-            print(f"unknown experiment {name!r}; try `llmnpu list`",
-                  file=sys.stderr)
-            return 2
+            raise ReproError(f"unknown experiment {name!r}; try "
+                             f"`llmnpu list`")
     import inspect
     for name in names:
         desc, fn = EXPERIMENTS[name]
@@ -308,7 +308,7 @@ def cmd_profile(args) -> int:
     )
     from repro.obs import validate_profile
 
-    if args.prompt_tokens:
+    if args.prompt_tokens is not None:
         from repro.core import LlmNpuEngine
         from repro.obs import profile_inference
         engine = LlmNpuEngine.build(args.model, args.device)
@@ -366,18 +366,13 @@ def cmd_profile(args) -> int:
         print(f"[profile report ({len(report.to_json())} bytes) -> "
               f"{args.profile_out}]")
     if args.flamegraph_out:
-        import os
-        os.makedirs(os.path.dirname(args.flamegraph_out) or ".",
-                    exist_ok=True)
-        with open(args.flamegraph_out, "w") as f:
-            f.write("\n".join(flamegraph))
-            f.write("\n")
+        _write_text(args.flamegraph_out, "\n".join(flamegraph))
         print(f"[flamegraph: {len(flamegraph)} stacks -> "
               f"{args.flamegraph_out}]")
     return 0
 
 
-def _write_json(path: str, text: str) -> None:
+def _write_text(path: str, text: str) -> None:
     import os
 
     from repro.obs.export import open_text
@@ -394,7 +389,6 @@ def cmd_fleet(args) -> int:
     and the merged incident timeline."""
     import json
 
-    from repro.errors import ReproError
     from repro.eval import (
         default_fleet,
         fleet_compliance_table,
@@ -404,19 +398,12 @@ def cmd_fleet(args) -> int:
         fleet_scheduler_table,
         incident_table,
     )
-    from repro.obs import validate_timeline_doc
+    from repro.obs import validate_fleet_doc
 
-    try:
-        report = fleet_report(
-            specs=default_fleet(args.devices, seed=args.seed,
-                                seeding=args.seeding),
-            seed=args.seed,
-            workers=args.workers,
-        )
-        validate_timeline_doc(report["alerts"])
-    except ReproError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
+    report = fleet_report(specs=default_fleet(args.devices, seed=args.seed,
+                                              seeding=args.seeding),
+                          seed=args.seed, workers=args.workers)
+    validate_fleet_doc(report)
     for table in (fleet_percentile_table(report),
                   fleet_latency_table(report),
                   fleet_compliance_table(report),
@@ -427,11 +414,11 @@ def cmd_fleet(args) -> int:
         print(table.render())
         print()
     if args.report_out:
-        _write_json(args.report_out,
+        _write_text(args.report_out,
                     json.dumps(report, indent=2, sort_keys=True))
         print(f"[fleet report (repro.fleet/v1) -> {args.report_out}]")
     if args.alerts_out:
-        _write_json(args.alerts_out,
+        _write_text(args.alerts_out,
                     json.dumps(report["alerts"], indent=2, sort_keys=True))
         print(f"[incident timeline (repro.alerts/v1) -> "
               f"{args.alerts_out}]")
@@ -441,20 +428,15 @@ def cmd_fleet(args) -> int:
 def cmd_monitor(args) -> int:
     """Run the seeded fault-storm scenario under SLO monitoring and
     print the compliance scoreboard + burn-rate incident timeline."""
-    from repro.errors import ReproError
     from repro.eval import fault_storm_monitor, incident_table
     from repro.eval.report import Table
     from repro.obs import validate_timeline_doc
 
-    try:
-        monitor = fault_storm_monitor(seed=args.seed,
-                                      transient_rate=args.transient_rate,
-                                      permanent_rate=args.permanent_rate)
-        doc = monitor.timeline()
-        validate_timeline_doc(doc)
-    except ReproError as exc:
-        print(f"monitor: {exc}", file=sys.stderr)
-        return 2
+    monitor = fault_storm_monitor(seed=args.seed,
+                                  transient_rate=args.transient_rate,
+                                  permanent_rate=args.permanent_rate)
+    doc = monitor.timeline()
+    validate_timeline_doc(doc)
     scoreboard = Table(
         title=f"SLO compliance — fault storm (seed={args.seed}, "
               f"transient={args.transient_rate:g}, "
@@ -473,7 +455,7 @@ def cmd_monitor(args) -> int:
     print(incident_table(
         doc, title=f"Incident timeline (seed={args.seed})").render())
     if args.alerts_out:
-        _write_json(args.alerts_out,
+        _write_text(args.alerts_out,
                     monitor.timeline_json(indent=2))
         print(f"\n[incident timeline (repro.alerts/v1) -> "
               f"{args.alerts_out}]")
@@ -482,16 +464,11 @@ def cmd_monitor(args) -> int:
 
 def cmd_bench_compare(args) -> int:
     """Compare benchmark artifacts; exit 1 on regression."""
-    from repro.obs import ArtifactError, benchdiff_json, compare_paths
-    try:
-        comparison = compare_paths(args.baseline, args.candidate,
-                                   rel_tol=args.rel_tol,
-                                   abs_tol=args.abs_tol)
-    except ArtifactError as exc:
-        print(f"bench-compare: {exc}", file=sys.stderr)
-        return 2
+    from repro.obs import benchdiff_json, compare_paths
+    comparison = compare_paths(args.baseline, args.candidate,
+                               rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     if args.json_out:
-        _write_json(args.json_out, benchdiff_json(comparison))
+        _write_text(args.json_out, benchdiff_json(comparison))
         print(f"[delta report (repro.benchdiff/v1) -> {args.json_out}]")
     table = comparison.table()
     if not args.all_metrics:
@@ -543,7 +520,6 @@ def _explain_regressions(comparison) -> None:
     registered golden scenario and print the run-to-run attribution —
     which operators ate the delta.  Stdout only; the per-regression
     stderr lines stay machine-stable."""
-    from repro.errors import ReproError
     from repro.eval.diff_eval import explain_regression
     from repro.obs import diff_narrative, diff_table
 
@@ -572,39 +548,35 @@ def cmd_diff(args) -> int:
     """Run-to-run differential attribution: align two saved artifacts
     (critpath / profile / steps / fleet, optionally gzipped) and
     attribute the deltas.  Exit 0 when identical within tolerance,
-    1 when the runs differ, 2 on usage errors — mirroring
-    ``bench-compare``."""
+    1 when the runs differ, 2 on usage errors or a malformed input —
+    mirroring ``bench-compare``."""
     import json
 
-    from repro.errors import ReproError
     from repro.obs import (
         diff_docs,
         diff_json,
         diff_narrative,
         diff_table,
         open_text,
+        validate_doc,
     )
 
-    try:
-        docs = []
-        for path in (args.base, args.new):
-            try:
-                with open_text(path) as fh:
-                    docs.append(json.load(fh))
-            except (OSError, ValueError) as exc:
-                raise ReproError(
-                    f"cannot read {path!r}: {exc}") from None
-        doc = diff_docs(docs[0], docs[1], tol_s=args.tol)
-    except ReproError as exc:
-        print(f"diff: {exc}", file=sys.stderr)
-        return 2
+    docs = []
+    for path in (args.base, args.new):
+        try:
+            with open_text(path) as fh:
+                docs.append(json.load(fh))
+            validate_doc(docs[-1])
+        except (OSError, ValueError, ReproError) as exc:
+            raise ReproError(f"{path}: {exc}") from None
+    doc = diff_docs(docs[0], docs[1], tol_s=args.tol)
     print(diff_table(doc, top=args.top).render())
     if doc["kind"] == "critpath" and not args.no_narrative:
         print()
         for line in diff_narrative(doc, top=args.top):
             print(line)
     if args.out:
-        _write_json(args.out, diff_json(doc))
+        _write_text(args.out, diff_json(doc))
         print(f"[diff (repro.diff/v1) -> {args.out}]")
     if doc["identical"]:
         print(f"\nOK: runs identical within {doc['tol_s']:g} s")
@@ -620,44 +592,33 @@ def cmd_explain(args) -> int:
     breakdown within 1e-9 s."""
     import json
 
-    from repro.errors import ReproError
-    from repro.obs import (
-        explain_lines,
-        explain_table,
-        load_steps,
-        validate_steps_doc,
-    )
+    from repro.obs import explain_lines, explain_table, load_steps
 
-    try:
-        if args.steplog:
-            doc = load_steps(args.steplog)
-            validate_steps_doc(doc)
-        else:
-            from repro.eval import golden_steplog
-            doc = golden_steplog(
-                seed=args.seed, batched=args.batched,
-                prefill_priority=args.prefill_priority,
-            ).to_dict()
-        if args.steplog_out:
-            _write_json(args.steplog_out,
-                        json.dumps(doc, indent=2, sort_keys=True))
-            print(f"[step log (repro.steps/v1) -> {args.steplog_out}]")
-        if args.request_id is None:
-            print(explain_table(
-                doc, title=f"Wait attribution — {doc['source']} "
-                           f"({doc['n_requests']} requests, "
-                           f"{doc['n_steps']} steps)").render())
-        else:
-            for line in explain_lines(doc, args.request_id):
+    if args.steplog:
+        doc = load_steps(args.steplog)
+    else:
+        from repro.eval import golden_steplog
+        doc = golden_steplog(
+            seed=args.seed, batched=args.batched,
+            prefill_priority=args.prefill_priority,
+        ).to_dict()
+    if args.steplog_out:
+        _write_text(args.steplog_out,
+                    json.dumps(doc, indent=2, sort_keys=True))
+        print(f"[step log (repro.steps/v1) -> {args.steplog_out}]")
+    if args.request_id is None:
+        print(explain_table(
+            doc, title=f"Wait attribution — {doc['source']} "
+                       f"({doc['n_requests']} requests, "
+                       f"{doc['n_steps']} steps)").render())
+    else:
+        for line in explain_lines(doc, args.request_id):
+            print(line)
+        if not args.steplog and not args.no_critpath:
+            print()
+            for line in _request_narrative(args.seed, args.batched,
+                                           args.request_id):
                 print(line)
-            if not args.steplog and not args.no_critpath:
-                print()
-                for line in _request_narrative(args.seed, args.batched,
-                                               args.request_id):
-                    print(line)
-    except ReproError as exc:
-        print(f"explain: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -692,76 +653,64 @@ def cmd_critpath(args) -> int:
     segments (--fleet N)."""
     import json
 
-    from repro.errors import ReproError
-    from repro.obs import (
-        critpath_doc,
-        narrative_lines,
-        validate_critical_path,
-    )
+    from repro.obs import critpath_doc, narrative_lines, validate_critpath_doc
 
-    try:
-        if args.fleet:
-            from repro.eval import (
-                default_fleet,
-                fleet_critpath_table,
-                fleet_report,
-            )
-            report = fleet_report(
-                specs=default_fleet(args.fleet, seed=args.seed,
-                                    seeding=args.seeding),
-                seed=args.seed, workers=args.workers, critpath=True)
-            print(fleet_critpath_table(report, top=args.top).render())
-            return 0
-        if args.prompt_tokens:
-            from repro.core import LlmNpuEngine
-            from repro.obs import critical_path
-            engine = LlmNpuEngine.build(args.model, args.device)
-            inference = engine.infer(args.prompt_tokens,
-                                     args.output_tokens)
-            timeline = inference.timeline(engine.config.decode_backend)
-            path = critical_path(
-                timeline, source=f"{args.model} "
-                                 f"prompt={args.prompt_tokens}")
-            paths = [path]
-            for line in narrative_lines(path, top=args.top):
+    if args.fleet:
+        from repro.eval import (
+            default_fleet,
+            fleet_critpath_table,
+            fleet_report,
+        )
+        report = fleet_report(
+            specs=default_fleet(args.fleet, seed=args.seed,
+                                seeding=args.seeding),
+            seed=args.seed, workers=args.workers, critpath=True)
+        print(fleet_critpath_table(report, top=args.top).render())
+        return 0
+    if args.prompt_tokens is not None:
+        from repro.core import LlmNpuEngine
+        from repro.obs import critical_path
+        engine = LlmNpuEngine.build(args.model, args.device)
+        inference = engine.infer(args.prompt_tokens, args.output_tokens)
+        timeline = inference.timeline(engine.config.decode_backend)
+        path = critical_path(
+            timeline, source=f"{args.model} prompt={args.prompt_tokens}")
+        paths = [path]
+        source = path.source
+        for line in narrative_lines(path, top=args.top):
+            print(line)
+    else:
+        from repro.eval import (
+            critpath_request_table,
+            critpath_stage_table,
+            service_critical_paths,
+        )
+        paths, _service = service_critical_paths(seed=args.seed)
+        source = f"golden service workload seed={args.seed}"
+        if args.request_id is not None:
+            wanted = f"request {args.request_id}"
+            matches = [p for p in paths if p.source == wanted]
+            if not matches:
+                raise ReproError(
+                    f"request {args.request_id} has no critical path "
+                    f"(not completed, or not in the workload)")
+            for line in narrative_lines(matches[0], top=args.top):
                 print(line)
         else:
-            from repro.eval import (
-                critpath_request_table,
-                critpath_stage_table,
-                service_critical_paths,
-            )
-            paths, _service = service_critical_paths(seed=args.seed)
-            if args.request_id is not None:
-                wanted = f"request {args.request_id}"
-                matches = [p for p in paths if p.source == wanted]
-                if not matches:
-                    raise ReproError(
-                        f"request {args.request_id} has no critical "
-                        f"path (not completed, or not in the workload)")
-                for line in narrative_lines(matches[0], top=args.top):
-                    print(line)
-            else:
-                print(critpath_stage_table(
-                    paths, title=f"Critical-path attribution by stage — "
-                                 f"golden workload (seed={args.seed})"
-                ).render())
-                print()
-                print(critpath_request_table(paths).render())
-        for path in paths:
-            validate_critical_path(path)
-        if args.critpath_out:
-            doc = critpath_doc(
-                paths, source=f"golden service workload seed={args.seed}"
-                if not args.prompt_tokens else paths[0].source)
-            _write_json(args.critpath_out,
-                        json.dumps(doc, indent=2, sort_keys=True,
-                                   allow_nan=False))
-            print(f"[critpath artifact (repro.critpath/v1) -> "
-                  f"{args.critpath_out}]")
-    except ReproError as exc:
-        print(f"critpath: {exc}", file=sys.stderr)
-        return 2
+            print(critpath_stage_table(
+                paths, title=f"Critical-path attribution by stage — "
+                             f"golden workload (seed={args.seed})"
+            ).render())
+            print()
+            print(critpath_request_table(paths).render())
+    if args.critpath_out:
+        doc = critpath_doc(paths, source=source)
+        validate_critpath_doc(doc)
+        _write_text(args.critpath_out,
+                    json.dumps(doc, indent=2, sort_keys=True,
+                               allow_nan=False))
+        print(f"[critpath artifact (repro.critpath/v1) -> "
+              f"{args.critpath_out}]")
     return 0
 
 
@@ -770,7 +719,6 @@ def cmd_whatif(args) -> int:
     with perturbed latencies and report predicted TTFT/ITL/e2e deltas,
     optionally verified against a ground-truth re-simulation."""
     from repro.core import LlmNpuEngine
-    from repro.errors import ReproError
     from repro.eval.report import Table
     from repro.obs import (
         WHATIF_TOL_S,
@@ -781,31 +729,32 @@ def cmd_whatif(args) -> int:
         resimulate,
         speedup_from_spec,
     )
+    from repro.obs.whatif import tag_matches
 
-    try:
-        engine = LlmNpuEngine.build(args.model, args.device)
-        perturbations = []
-        for spec in args.speedup or ():
-            perturbations.append(speedup_from_spec(spec))
-        for spec in args.reassign or ():
-            perturbations.append(reassign_from_spec(spec))
-        if args.dma_buffers:
-            from repro.hw.dma import DmaConfig
-            pert, _clone = dma_overlap_perturbation(
-                engine, args.prompt_tokens,
-                DmaConfig(buffers=args.dma_buffers),
-                output_tokens=args.output_tokens)
-            perturbations.append(pert)
-        if not perturbations:
-            raise ReproError(
-                "no perturbations given — use --speedup TAG=FACTOR, "
-                "--reassign TAG=PROC[*SCALE], and/or --dma-buffers N")
-        run = capture_engine_run(engine, args.prompt_tokens,
-                                 output_tokens=args.output_tokens)
-        report = predict(run, perturbations)
-    except ReproError as exc:
-        print(f"whatif: {exc}", file=sys.stderr)
-        return 2
+    engine = LlmNpuEngine.build(args.model, args.device)
+    tagged = ([speedup_from_spec(spec) for spec in args.speedup or ()]
+              + [reassign_from_spec(spec) for spec in args.reassign or ()])
+    perturbations = list(tagged)
+    if args.dma_buffers:
+        from repro.hw.dma import DmaConfig
+        pert, _clone = dma_overlap_perturbation(
+            engine, args.prompt_tokens,
+            DmaConfig(buffers=args.dma_buffers),
+            output_tokens=args.output_tokens)
+        perturbations.append(pert)
+    if not perturbations:
+        raise ReproError(
+            "no perturbations given — use --speedup TAG=FACTOR, "
+            "--reassign TAG=PROC[*SCALE], and/or --dma-buffers N")
+    run = capture_engine_run(engine, args.prompt_tokens,
+                             output_tokens=args.output_tokens)
+    # A DMA rebuild may legitimately change nothing; a tag that matches
+    # no task is a typo that would silently report a zero delta.
+    tags = {task.tag for task in run.tasks}
+    for pert in tagged:
+        if not any(tag_matches(tag, pert.tag) for tag in tags):
+            raise ReproError(f"tag {pert.tag!r} matches no captured task")
+    report = predict(run, perturbations)
     table = Table(
         title=f"What-if — {args.model}, prompt={args.prompt_tokens}, "
               f"out={args.output_tokens}",
@@ -925,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="golden-workload seed (service mode)")
     profile.add_argument("--model", default="Qwen1.5-1.8B")
     profile.add_argument("--device", default="Redmi K70 Pro")
-    profile.add_argument("--prompt-tokens", type=int, default=0,
+    profile.add_argument("--prompt-tokens", type=int, default=None,
                          help="profile one inference of this many prompt "
                               "tokens instead of the golden workload")
     profile.add_argument("--output-tokens", type=int, default=8)
@@ -1056,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
     critpath.add_argument("--seed", type=int, default=42)
     critpath.add_argument("--model", default="Qwen1.5-1.8B")
     critpath.add_argument("--device", default="Redmi K70 Pro")
-    critpath.add_argument("--prompt-tokens", type=int, default=0,
+    critpath.add_argument("--prompt-tokens", type=int, default=None,
                           help="attribute one inference of this many "
                                "prompt tokens instead of the golden "
                                "workload")
@@ -1104,8 +1053,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every :class:`~repro.errors.ReproError` becomes
+    a one-line ``llmnpu <cmd>: <message>`` on stderr and exit 2, so exit
+    1 keeps meaning "runs differ" / "regressed" / "check failed"."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"llmnpu {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

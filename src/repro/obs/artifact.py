@@ -43,6 +43,9 @@ from repro.errors import ReproError
 from repro.obs.schemas import (  # noqa: E402 (constant table)
     BENCH_SCHEMA,
     BENCHDIFF_SCHEMA,
+    check_schema,
+    finite,
+    require_keys,
 )
 
 #: Default relative regression threshold (fraction of the baseline).
@@ -53,6 +56,10 @@ DEFAULT_ABS_TOL = 1e-9
 
 #: Metric directions.
 DIRECTIONS = ("lower", "higher", "info")
+
+#: ``bench-compare`` per-metric verdicts, and the ones that gate.
+GATING_VERDICTS = ("regressed", "missing")
+VERDICTS = ("ok", "improved", "new") + GATING_VERDICTS
 
 #: Column-name fragments that mark a lower-is-better metric.
 _LOWER_HINTS = ("latency", "turnaround", "queue", "retry", "bubble",
@@ -202,35 +209,40 @@ def make_artifact(name: str, tables,
     )
 
 
+def validate_bench_doc(doc: dict) -> None:
+    """Validate a ``repro.bench/v1`` artifact: a non-empty ``metrics``
+    object whose records carry a finite ``value`` and a known
+    ``direction``, and a string-valued ``env``."""
+    check_schema(doc, BENCH_SCHEMA, ArtifactError)
+    require_keys(doc, ("name", "metrics", "env"), "artifact", ArtifactError)
+    metrics = doc["metrics"]
+    if not isinstance(metrics, dict) or not metrics:
+        raise ArtifactError("metrics must be a non-empty object")
+    for metric_id, record in metrics.items():
+        where = f"metric {metric_id!r}"
+        require_keys(record, ("value", "direction"), where, ArtifactError)
+        if not finite(record["value"]):
+            raise ArtifactError(f"{where}: 'value' must be a finite number")
+        if record["direction"] not in DIRECTIONS:
+            raise ArtifactError(f"{where}: direction "
+                                f"{record['direction']!r} not in "
+                                f"{sorted(DIRECTIONS)}")
+    env = doc["env"]
+    if not (isinstance(env, dict)
+            and all(isinstance(v, str) for v in env.values())):
+        raise ArtifactError("env must map names to strings")
+
+
 def load_artifact(path: str) -> BenchArtifact:
-    """Read and structurally validate a ``repro.bench/v1`` file."""
+    """Read and validate a ``repro.bench/v1`` file."""
     try:
         with open(path) as f:
             data = json.load(f)
-    except OSError as exc:
-        raise ArtifactError(f"cannot read artifact {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("schema") != BENCH_SCHEMA:
-        raise ArtifactError(
-            f"{path!r}: expected schema {BENCH_SCHEMA!r}, got "
-            f"{data.get('schema') if isinstance(data, dict) else type(data)}"
-        )
-    metrics = data.get("metrics")
-    if not isinstance(metrics, dict):
-        raise ArtifactError(f"{path!r}: missing metrics section")
-    for metric_id, record in metrics.items():
-        if (not isinstance(record, dict)
-                or not isinstance(record.get("value"), (int, float))
-                or record.get("direction") not in DIRECTIONS):
-            raise ArtifactError(
-                f"{path!r}: malformed metric {metric_id!r}: {record!r}"
-            )
-    return BenchArtifact(
-        name=str(data.get("name", "")),
-        metrics=metrics,
-        env=dict(data.get("env", {})),
-    )
+        validate_bench_doc(data)
+    except (OSError, ValueError, ArtifactError) as exc:
+        raise ArtifactError(f"{path!r}: {exc}") from None
+    return BenchArtifact(name=str(data["name"]), metrics=data["metrics"],
+                         env=dict(data["env"]))
 
 
 # -- comparison ---------------------------------------------------------------
@@ -275,7 +287,7 @@ class Comparison:
     @property
     def regressions(self) -> List[MetricDelta]:
         return [d for d in self.deltas
-                if d.verdict in ("regressed", "missing")]
+                if d.verdict in GATING_VERDICTS]
 
     @property
     def ok(self) -> bool:
@@ -335,6 +347,41 @@ def benchdiff_doc(comparison: Comparison) -> dict:
             for d in comparison.deltas
         ],
     }
+
+
+def validate_benchdiff_doc(doc: dict) -> None:
+    """Validate a ``repro.benchdiff/v1`` delta report: per-metric
+    records with known directions and verdicts and null-or-finite
+    numbers, ``n_metrics`` and ``n_regressed`` matching the records, and
+    ``ok`` exactly when nothing regressed."""
+    check_schema(doc, BENCHDIFF_SCHEMA, ArtifactError)
+    require_keys(doc, ("baseline", "candidate", "rel_tol", "abs_tol", "ok",
+                       "n_metrics", "n_regressed", "deltas"),
+                 "benchdiff", ArtifactError)
+    if doc["n_metrics"] != len(doc["deltas"]):
+        raise ArtifactError("n_metrics != len(deltas)")
+    n_regressed = 0
+    for i, d in enumerate(doc["deltas"]):
+        where = f"deltas[{i}]"
+        require_keys(d, ("metric", "direction", "baseline", "candidate",
+                         "delta", "rel_delta", "verdict"),
+                     where, ArtifactError)
+        if d["direction"] not in DIRECTIONS:
+            raise ArtifactError(f"{where}: direction {d['direction']!r} "
+                                f"not in {sorted(DIRECTIONS)}")
+        if d["verdict"] not in VERDICTS:
+            raise ArtifactError(f"{where}: verdict {d['verdict']!r} not "
+                                f"in {sorted(VERDICTS)}")
+        for key in ("baseline", "candidate", "delta", "rel_delta"):
+            if d[key] is not None and not finite(d[key]):
+                raise ArtifactError(f"{where}: {key!r} must be null or "
+                                    f"finite")
+        n_regressed += d["verdict"] in GATING_VERDICTS
+    if n_regressed != doc["n_regressed"]:
+        raise ArtifactError(f"n_regressed {doc['n_regressed']!r} != "
+                            f"gating verdict count {n_regressed}")
+    if doc["ok"] != (n_regressed == 0):
+        raise ArtifactError("ok flag disagrees with the regression count")
 
 
 def benchdiff_json(comparison: Comparison) -> str:

@@ -28,21 +28,29 @@ the golden artifact).  Off-path events get a per-segment slack from a
 latest-finish backward pass over the schedule-fixed DAG.
 
 Documents serialize under ``repro.critpath/v1`` with fully
-deterministic bytes; ``scripts/check_trace_schema.py`` validates the
-conservation invariant stdlib-only.
+deterministic bytes; :func:`validate_critpath_doc` checks every path
+plus the document totals.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.hw.trace import Trace, TraceEvent
-from repro.obs.schemas import CRITPATH_EDGES, CRITPATH_SCHEMA
+from repro.obs.schemas import (
+    CRITPATH_EDGES,
+    CRITPATH_SCHEMA,
+    check_schema,
+    finite,
+    require_keys,
+)
 
 #: Maximum tolerated conservation residual (segments vs end-to-end).
 CRITPATH_TOL_S = 1e-9
@@ -52,8 +60,6 @@ CRITPATH_TOL_S = 1e-9
 _GATE_TOL_S = 1e-12
 
 #: Gating-edge kinds, in tie-break priority order (low to high).
-#: Defined next to the schema string so the stdlib-only checker reads
-#: the same closed set.
 PATH_EDGES = CRITPATH_EDGES
 
 _EDGE_RANK = {edge: i for i, edge in enumerate(PATH_EDGES)}
@@ -157,7 +163,8 @@ class CriticalPath:
             acc[tag] = acc.get(tag, 0.0) + s.duration_s
         return {k: acc[k] for k in sorted(acc)}
 
-    def to_dict(self) -> dict:
+    def _summary(self) -> dict:
+        """Every :meth:`to_dict` field but the segment and slack lists."""
         return {
             "source": self.source,
             "origin_s": self.origin_s,
@@ -168,9 +175,12 @@ class CriticalPath:
             "wait_s": self.wait_s,
             "by_proc": self.by_proc(),
             "by_tag": self.by_tag(),
-            "segments": [s.to_dict() for s in self.segments],
-            "slack": [s.to_dict() for s in self.slack],
         }
+
+    def to_dict(self) -> dict:
+        return dict(self._summary(),
+                    segments=[s.to_dict() for s in self.segments],
+                    slack=[s.to_dict() for s in self.slack])
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
@@ -349,62 +359,126 @@ def _slack_records(events: Sequence[TraceEvent],
     return out
 
 
-def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
-    """Assert the telescoping invariant on a path (object or dict).
+_PATH_KEYS = ("source", "origin_s", "e2e_s", "n_events", "n_segments",
+              "work_s", "wait_s", "by_proc", "by_tag", "segments", "slack")
+_SEGMENT_FIELDS = ("task_id", "proc", "tag", "start_s", "end_s",
+                   "duration_s", "wait_s", "edge")
+_SLACK_FIELDS = ("task_id", "proc", "tag", "start_s", "end_s", "slack_s")
 
-    Per segment: duration equals ``end - start`` and the segment starts
-    exactly ``wait`` after its predecessor's end; globally, the waits
-    and durations sum to the end-to-end latency, the last finish minus
-    the origin equals it too, and every wait/slack is non-negative —
-    all within ``tol_s``.
+
+def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
+    """Assert the telescoping invariant on one path (a
+    :class:`CriticalPath` or its dict): per segment a known edge,
+    ``duration == end - start`` and a start ``wait`` after the previous
+    end; per path, waits + durations and last finish - origin both equal
+    e2e, durations sum to ``work_s``, ``by_proc`` and ``by_tag``, and no
+    wait or slack is negative — within ``tol_s``; NaN fails every test.
     """
-    if isinstance(path, CriticalPath):
-        doc = path.to_dict()
+    if isinstance(path, CriticalPath):  # walk the records, don't copy them
+        doc = dict(path._summary(), segments=path.segments,
+                   slack=path.slack)
+        getter = attrgetter
     else:
-        doc = path
+        require_keys(path, _PATH_KEYS, "critical path", CritPathError)
+        doc, getter = path, itemgetter
+    source, origin, e2e = doc["source"], doc["origin_s"], doc["e2e_s"]
     segments = doc["segments"]
-    e2e = doc["e2e_s"]
-    origin = doc["origin_s"]
     if not segments:
-        raise CritPathError(f"{doc.get('source')}: path has no segments")
-    prev_end = origin
-    total = 0.0
-    for i, seg in enumerate(segments):
-        where = f"{doc.get('source')}: segments[{i}] ({seg['task_id']})"
-        dur = seg["end_s"] - seg["start_s"]
-        if dur < -tol_s:
-            raise CritPathError(f"{where}: negative duration {dur!r}")
-        if abs(seg["duration_s"] - dur) > tol_s:
-            raise CritPathError(
-                f"{where}: duration_s {seg['duration_s']!r} != "
-                f"end - start {dur!r}")
-        if seg["wait_s"] < -tol_s:
-            raise CritPathError(
-                f"{where}: negative wait {seg['wait_s']!r}")
-        gap = seg["start_s"] - (prev_end + seg["wait_s"])
-        if abs(gap) > tol_s:
-            raise CritPathError(
-                f"{where}: start {seg['start_s']!r} != previous end "
-                f"{prev_end!r} + wait {seg['wait_s']!r}")
-        if seg["edge"] not in PATH_EDGES:
-            raise CritPathError(
-                f"{where}: unknown edge {seg['edge']!r}")
-        total += seg["wait_s"] + seg["duration_s"]
-        prev_end = seg["end_s"]
-    if abs(total - e2e) > tol_s:
+        raise CritPathError(f"{source}: path has no segments")
+    if doc["n_segments"] != len(segments):
+        raise CritPathError(f"{source}: n_segments != len(segments)")
+    if not finite(origin) or not finite(e2e):
+        raise CritPathError(f"{source}: origin_s/e2e_s must be finite")
+    fields = getter(*_SEGMENT_FIELDS)
+    prev_end, total, work = origin, 0.0, 0.0
+    i, task_id = 0, None
+    try:
+        for i, seg in enumerate(segments):
+            task_id, _proc, _tag, start, end, dur, wait, edge = fields(seg)
+            if end - start < -tol_s:
+                raise CritPathError(f"negative duration {end - start!r}")
+            if not abs(dur - (end - start)) <= tol_s:
+                raise CritPathError(f"duration_s {dur!r} != end - start")
+            if not wait >= -tol_s:
+                raise CritPathError(f"negative wait {wait!r}")
+            if not abs(start - (prev_end + wait)) <= tol_s:
+                raise CritPathError(f"start {start!r} != previous end "
+                                    f"{prev_end!r} + wait {wait!r}")
+            if edge not in PATH_EDGES:
+                raise CritPathError(f"unknown edge {edge!r}")
+            total += wait + dur
+            work += dur
+            prev_end = end
+    except KeyError as exc:
+        raise CritPathError(f"{source}: segments[{i}]: missing {exc}"
+                            ) from None
+    except (TypeError, CritPathError) as exc:
+        problem = exc if isinstance(exc, CritPathError) else "non-numeric"
+        raise CritPathError(f"{source}: segments[{i}] ({task_id}): "
+                            f"{problem}") from None
+    if not abs(total - e2e) <= tol_s:
         raise CritPathError(
-            f"{doc.get('source')}: segment waits + durations sum to "
-            f"{total!r}, end-to-end is {e2e!r} "
-            f"(residual {total - e2e:.3e} s)")
-    if abs((prev_end - origin) - e2e) > tol_s:
-        raise CritPathError(
-            f"{doc.get('source')}: last finish {prev_end!r} - origin "
-            f"{origin!r} != e2e {e2e!r}")
-    for i, rec in enumerate(doc["slack"]):
-        if rec["slack_s"] < -tol_s:
-            raise CritPathError(
-                f"{doc.get('source')}: slack[{i}] ({rec['task_id']}): "
-                f"negative slack {rec['slack_s']!r}")
+            f"{source}: segment waits + durations sum to {total!r}, "
+            f"end-to-end is {e2e!r} (residual {total - e2e:.3e} s)")
+    if not abs((prev_end - origin) - e2e) <= tol_s:
+        raise CritPathError(f"{source}: last finish {prev_end!r} - origin "
+                            f"{origin!r} != e2e {e2e!r}")
+    for name, value in (("work_s", doc["work_s"]),
+                        ("by_proc", sum(doc["by_proc"].values())),
+                        ("by_tag", sum(doc["by_tag"].values()))):
+        if not abs(value - work) <= tol_s:
+            raise CritPathError(f"{source}: {name} does not sum to on-path "
+                                f"work {work!r}")
+    fields = getter(*_SLACK_FIELDS)
+    i, slack = 0, None
+    try:
+        for i, rec in enumerate(doc["slack"]):
+            task_id, _proc, _tag, _start, _end, slack = fields(rec)
+            if not -tol_s <= slack < math.inf:
+                raise TypeError
+    except KeyError as exc:
+        raise CritPathError(f"{source}: slack[{i}]: missing {exc}") from None
+    except TypeError:
+        raise CritPathError(f"{source}: slack[{i}] ({task_id}): negative "
+                            f"slack or non-number {slack!r}") from None
+
+
+def validate_critpath_doc(doc: dict,
+                          tol_s: float = CRITPATH_TOL_S) -> None:
+    """Validate a ``repro.critpath/v1`` document: every path passes
+    :func:`validate_critical_path` and ``totals`` sums the per-path
+    work, waits, ``by_proc`` and ``by_tag`` within ``tol_s`` per path."""
+    check_schema(doc, CRITPATH_SCHEMA, CritPathError)
+    require_keys(doc, ("source", "n_paths", "paths", "totals"),
+                 "critpath doc", CritPathError)
+    paths = doc["paths"]
+    if not isinstance(paths, list) or not paths:
+        raise CritPathError("'paths' must be a non-empty list")
+    if doc["n_paths"] != len(paths):
+        raise CritPathError("n_paths != len(paths)")
+    sums = {"work_s": 0.0, "wait_s": 0.0, "by_proc": {}, "by_tag": {}}
+    for path in paths:
+        validate_critical_path(path, tol_s)
+        for key in ("work_s", "wait_s"):
+            sums[key] += path[key]
+        for block in ("by_proc", "by_tag"):
+            for key, seconds in path[block].items():
+                sums[block][key] = sums[block].get(key, 0.0) + seconds
+    totals = doc["totals"]
+    require_keys(totals, sums, "totals", CritPathError)
+    tol = tol_s * len(paths)
+    for key in ("work_s", "wait_s"):
+        if not abs(totals[key] - sums[key]) <= tol:
+            raise CritPathError(f"totals.{key} != sum over paths")
+    for block in ("by_proc", "by_tag"):
+        declared, summed = totals[block], sums[block]
+        if sorted(declared) != sorted(summed):
+            raise CritPathError(f"totals.{block} keys do not match the "
+                                f"paths")
+        for key, seconds in summed.items():
+            if not abs(declared[key] - seconds) <= tol:
+                raise CritPathError(f"totals.{block}[{key!r}] drifts from "
+                                    f"the per-path sum")
 
 
 def _shift_segment(seg: PathSegment, t0: float,

@@ -45,6 +45,7 @@ scenario to auto-emit the critpath attribution.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -56,6 +57,9 @@ from repro.obs.schemas import (
     FLEET_SCHEMA,
     PROFILE_SCHEMA,
     STEPS_SCHEMA,
+    check_schema,
+    finite,
+    require_keys,
 )
 
 #: Conservation tolerance: attributed per-segment deltas must telescope
@@ -68,6 +72,10 @@ class DiffError(ReproError):
     """A pair of artifacts could not be aligned or the resulting diff
     violates the conservation invariant."""
 
+
+#: Required keys of a critpath diff's per-segment records.
+_SEGMENT_FIELDS = itemgetter("task_id", "tag", "base_s", "new_s", "delta_s",
+                             "status")
 
 #: Which diff kind handles which input schema.
 _KIND_BY_SCHEMA = {
@@ -502,67 +510,78 @@ def diff_json(doc: dict) -> str:
 
 
 def validate_diff(doc: dict, tol_s: Optional[float] = None) -> None:
-    """Structural + conservation check of a ``repro.diff/v1`` document.
-
-    For the critpath kind this is the tentpole invariant: every matched
-    request's attributed per-segment deltas must sum to its observed
-    e2e delta within ``tol_s``, and the totals must telescope the same
-    way.  Raises :class:`DiffError` on violation.
-    """
-    if doc.get("schema") != DIFF_SCHEMA:
-        raise DiffError(f"expected schema {DIFF_SCHEMA!r}, "
-                        f"got {doc.get('schema')!r}")
-    kind = doc.get("kind")
-    if kind not in DIFF_KINDS:
-        raise DiffError(f"unknown diff kind {kind!r}")
-    if tol_s is None:
-        tol_s = doc.get("tol_s", DIFF_TOL_S)
-    if not isinstance(doc.get("identical"), bool):
+    """Structural + conservation check of a ``repro.diff/v1`` document
+    (raises :class:`DiffError`).  Every kind has a known ``kind``, a
+    positive ``tol_s`` and a boolean ``identical``.  A critpath diff is
+    the tentpole invariant: closed-taxonomy statuses, a zero base (new)
+    side on appeared (vanished) segments, ``delta = new - base``, and
+    per-segment deltas telescoping to each request's e2e delta and those
+    to the total within ``tol_s`` (the document's by default); and
+    ``identical`` only when nothing moved."""
+    check_schema(doc, DIFF_SCHEMA, DiffError)
+    require_keys(doc, ("kind", "tol_s", "base", "new", "identical"),
+                 "diff doc", DiffError)
+    if doc["kind"] not in DIFF_KINDS:
+        raise DiffError(f"unknown diff kind {doc['kind']!r}")
+    if not finite(doc["tol_s"]) or doc["tol_s"] <= 0:
+        raise DiffError("tol_s must be a positive number")
+    if not isinstance(doc["identical"], bool):
         raise DiffError("diff document missing boolean 'identical'")
-    if kind != "critpath":
+    if doc["kind"] != "critpath":
         return
+    tol_s = doc["tol_s"] if tol_s is None else tol_s
+    require_keys(doc, ("e2e", "n_requests", "only_base", "only_new",
+                       "by_stage", "by_proc", "by_status",
+                       "top_contributors", "requests"),
+                 "critpath diff", DiffError)
+    if sorted(doc["by_status"]) != sorted(DIFF_STATUSES):
+        raise DiffError(f"by_status keys {sorted(doc['by_status'])}")
+    if doc["n_requests"] != len(doc["requests"]):
+        raise DiffError("n_requests != len(requests)")
+    moved = bool(doc["only_base"] or doc["only_new"])
     total_delta = 0.0
-    for req in doc["requests"]:
-        attributed = 0.0
-        for seg in req["segments"]:
-            if seg["status"] not in DIFF_STATUSES:
-                raise DiffError(
-                    f"{req['source']}: unknown segment status "
-                    f"{seg['status']!r}"
-                )
-            if seg["status"] == "appeared" and seg["base_s"] != 0.0:
-                raise DiffError(f"{req['source']}: appeared segment "
-                                f"{seg['task_id']} has base time")
-            if seg["status"] == "vanished" and seg["new_s"] != 0.0:
-                raise DiffError(f"{req['source']}: vanished segment "
-                                f"{seg['task_id']} has new time")
-            attributed += seg["delta_s"]
+    for i, req in enumerate(doc["requests"]):
+        require_keys(req, ("source", "base_e2e_s", "new_e2e_s", "delta_s",
+                           "segments"), f"requests[{i}]", DiffError)
+        where, attributed, j = req["source"], 0.0, 0
+        try:
+            for j, seg in enumerate(req["segments"]):
+                task, _tag, base, new, delta, status = _SEGMENT_FIELDS(seg)
+                if status not in DIFF_STATUSES:
+                    raise DiffError(f"unknown segment status {status!r}")
+                if status == "appeared" and base != 0.0:
+                    raise DiffError(f"appeared segment {task} has base "
+                                    f"time")
+                if status == "vanished" and new != 0.0:
+                    raise DiffError(f"vanished segment {task} has new time")
+                if not abs(delta - (new - base)) <= tol_s:
+                    raise DiffError(f"segment {task} delta_s != new_s - "
+                                    f"base_s")
+                moved = moved or status != "unchanged"
+                attributed += delta
+        except KeyError as exc:
+            raise DiffError(f"{where}: segments[{j}]: missing {exc}"
+                            ) from None
+        except DiffError as exc:
+            raise DiffError(f"{where}: {exc}") from None
         observed = req["new_e2e_s"] - req["base_e2e_s"]
-        if abs(attributed - observed) > tol_s:
+        if not abs(req["delta_s"] - observed) <= tol_s:
+            raise DiffError(f"{where}: delta_s != new_e2e_s - base_e2e_s")
+        if not abs(attributed - observed) <= tol_s:
             raise DiffError(
-                f"{req['source']}: attributed segment deltas "
-                f"{attributed!r} do not telescope to the observed e2e "
-                f"delta {observed!r} (residual "
-                f"{attributed - observed!r} > {tol_s!r} s)"
-            )
+                f"{where}: attributed segment deltas {attributed!r} do "
+                f"not telescope to the observed e2e delta {observed!r} "
+                f"(residual {attributed - observed!r} > {tol_s!r} s)")
+        moved = moved or abs(observed) > tol_s
         total_delta += observed
-    e2e = doc["e2e"]
-    n = max(1, len(doc["requests"]))
-    if abs(e2e["delta_s"] - total_delta) > tol_s * n:
-        raise DiffError(
-            f"totals: e2e delta {e2e['delta_s']!r} != sum of "
-            f"per-request deltas {total_delta!r}"
-        )
-    if doc["identical"]:
-        if doc["only_base"] or doc["only_new"]:
-            raise DiffError("diff marked identical but requests were "
-                            "unmatched")
-        if any(seg["status"] != "unchanged"
-               for req in doc["requests"] for seg in req["segments"]):
-            raise DiffError("diff marked identical but segments moved")
-        if any(abs(req["new_e2e_s"] - req["base_e2e_s"]) > tol_s
-               for req in doc["requests"]):
-            raise DiffError("diff marked identical but e2e moved")
+    e2e_delta = doc["e2e"]["delta_s"]
+    if not abs(e2e_delta - total_delta) <= tol_s * max(1, len(
+            doc["requests"])):
+        raise DiffError(f"totals: e2e delta {e2e_delta!r} != sum of "
+                        f"per-request deltas {total_delta!r}")
+    if doc["identical"] and moved:
+        raise DiffError("diff marked identical but requests were "
+                        "unmatched, or segments or e2e moved")
 
 
 # -- presentation ------------------------------------------------------------

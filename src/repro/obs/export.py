@@ -17,7 +17,8 @@ clock).  Open the saved file in https://ui.perfetto.dev or
 
 The JSONL log is the machine-readable twin: one JSON object per tracer
 record (emission order) followed by one per metrics instrument;
-``scripts/check_trace_schema.py`` validates it.
+:func:`validate_jsonl` validates it, as :func:`validate_timeline` does
+the Chrome export.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ import gzip
 import io
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, validate_metric_record
+from repro.obs.schemas import finite, require_keys
 from repro.obs.tracer import Instant, Span, Tracer
 
 #: Serial-execution tolerance, matching ``Trace.validate_serial``.
@@ -198,15 +201,65 @@ def save_chrome_trace(path: str, tracer: Tracer) -> None:
         f.write("\n")
 
 
+#: Required keys per Chrome event phase: complete, instant, counter,
+#: metadata.
+_EVENT_FIELDS = {
+    "X": itemgetter("name", "cat", "pid", "tid", "ts", "dur"),
+    "i": itemgetter("name", "pid", "tid", "ts"),
+    "C": itemgetter("name", "pid", "tid", "ts", "args"),
+    "M": itemgetter("name", "pid", "args"),
+}
+
+
 def validate_timeline(events: List[dict], tol: float = _OVERLAP_TOL_S) -> None:
-    """``Trace.validate_serial`` for Chrome events: per (pid, tid), no
-    two complete ('X') events overlap.  Raises :class:`SchedulingError`.
-    """
+    """Validate Chrome-trace events; raises :class:`SchedulingError`.
+
+    Events have a known phase and its keys; metadata names a process or
+    thread; counters carry a non-empty numeric series; complete ('X')
+    events exist, have non-negative ``ts``/``dur`` on a named pid, and
+    never overlap per (pid, tid) — ``Trace.validate_serial``, within
+    ``tol`` seconds."""
     by_track: Dict[Tuple[int, int], List[dict]] = {}
-    for e in events:
-        if e.get("ph") == "X":
-            by_track.setdefault((e["pid"], e["tid"]), []).append(e)
+    named = set()
+    i, ph = 0, None
+    try:
+        for i, e in enumerate(events):
+            ph = e.get("ph")
+            if ph not in _EVENT_FIELDS:
+                raise SchedulingError(f"unknown phase {ph!r}")
+            fields = _EVENT_FIELDS[ph](e)
+            if ph == "X":
+                _name, _cat, pid, tid, ts, dur = fields
+                if ts < 0 or dur < 0:
+                    raise SchedulingError("negative ts/dur")
+                by_track.setdefault((pid, tid), []).append(e)
+            elif ph == "M":
+                name, pid, args = fields
+                if name not in ("process_name", "thread_name"):
+                    raise SchedulingError(f"unknown metadata {name!r}")
+                if "name" not in args:
+                    raise SchedulingError("metadata without args.name")
+                if name == "process_name":
+                    named.add(pid)
+            elif ph == "C":
+                series = fields[-1]
+                if not (isinstance(series, dict) and series
+                        and all(map(finite, series.values()))):
+                    raise SchedulingError("counter event needs a "
+                                          "non-empty numeric args series")
+    except KeyError as exc:
+        raise SchedulingError(f"events[{i}]: {ph!r} event missing {exc}"
+                              ) from None
+    except (AttributeError, TypeError):
+        raise SchedulingError(f"events[{i}]: malformed event") from None
+    except SchedulingError as exc:
+        raise SchedulingError(f"events[{i}]: {exc}") from None
+    if not by_track:
+        raise SchedulingError("no complete events")
     for (pid, tid), track in sorted(by_track.items()):
+        if pid not in named:
+            raise SchedulingError(f"pid {pid} has events but no "
+                                  f"process_name")
         track.sort(key=lambda ev: (ev["ts"], ev["ts"] + ev["dur"]))
         for a, b in zip(track, track[1:]):
             if b["ts"] < a["ts"] + a["dur"] - tol * 1e6:
@@ -334,3 +387,48 @@ def read_jsonl(path: str) -> List[dict]:
             if line:
                 records.append(json.loads(line))
     return records
+
+
+#: Timestamp keys of the tracer records in a JSONL log.
+_RECORD_TIMES = {"span": ("start_s", "end_s"), "instant": ("ts_s",)}
+
+
+def validate_jsonl(lines: Iterable[str]) -> None:
+    """Validate a JSONL event log, one text line per record.
+
+    Each line is a JSON ``span`` / ``instant`` / ``metric`` record with
+    its keys; timestamps are non-negative numbers and spans end no
+    earlier than they start; metric records pass
+    :func:`~repro.obs.metrics.validate_metric_record`.  The log holds at
+    least one span and one metric.  Raises :class:`SchedulingError`.
+    """
+    counts = {"span": 0, "instant": 0, "metric": 0}
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"line {lineno}"
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise SchedulingError(f"{where}: invalid JSON ({exc})") from None
+        kind = record.get("type") if isinstance(record, dict) else None
+        if kind not in counts:
+            raise SchedulingError(f"{where}: unknown record type {kind!r}")
+        counts[kind] += 1
+        if kind == "metric":
+            validate_metric_record(record, where)
+            continue
+        times = _RECORD_TIMES[kind]
+        require_keys(record, ("name", "cat", "proc", "thread", "args")
+                     + times, f"{where}: {kind}", SchedulingError)
+        start, end = record[times[0]], record[times[-1]]
+        if not finite(start) or not finite(end):
+            raise SchedulingError(f"{where}: {kind} timestamps must be "
+                                  f"numbers")
+        if start < 0:
+            raise SchedulingError(f"{where}: negative {kind} timestamp")
+        if end < start:
+            raise SchedulingError(f"{where}: span ends before it starts")
+    for kind in ("span", "metric"):
+        if not counts[kind]:
+            raise SchedulingError(f"no {kind} records")

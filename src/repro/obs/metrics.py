@@ -27,12 +27,17 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ReproError
+from repro.obs.schemas import check_quantiles, finite, require_keys
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
 class MetricsError(ReproError):
     """Metrics registry misuse (type conflict, unknown instrument...)."""
+
+
+#: Instrument kinds a snapshot record may carry.
+METRIC_KINDS = ("counter", "gauge", "histogram")
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
@@ -260,6 +265,24 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._instruments)
+
+
+def validate_metric_record(record, where: str = "metric") -> None:
+    """Validate one :meth:`MetricsRegistry.snapshot` record (JSONL logs,
+    profile reports): counters and gauges carry a finite ``value``,
+    histograms finite ``sum``/``mean`` and :func:`check_quantiles`."""
+    require_keys(record, ("kind", "labels"), where, MetricsError)
+    kind = record["kind"]
+    if kind not in METRIC_KINDS:
+        raise MetricsError(f"{where}: metric kind {kind!r} not in "
+                           f"{sorted(METRIC_KINDS)}")
+    if not isinstance(record["labels"], dict):
+        raise MetricsError(f"{where}: metric labels must be an object")
+    for key in ("sum", "mean") if kind == "histogram" else ("value",):
+        if not finite(record.get(key)):
+            raise MetricsError(f"{where}: {kind} missing numeric {key!r}")
+    if kind == "histogram":
+        check_quantiles(record, ("p50", "p95", "max"), where, MetricsError)
 
 
 def as_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:

@@ -52,7 +52,6 @@ produced (the no-op guarantee of ``tests/obs/test_noop_regression.py``).
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,13 +60,21 @@ from repro.errors import ReproError
 from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
 
 #: Schema identifier stamped into every incident timeline.
-from repro.obs.schemas import ALERTS_SCHEMA  # noqa: E402 (constant table)
+from repro.obs.schemas import (  # noqa: E402 (constant table)
+    ALERTS_SCHEMA,
+    check_schema,
+    finite,
+    require_keys,
+)
 
 #: SLO objective kinds.
 OBJECTIVES = ("latency", "availability", "energy")
 
 #: Alert lifecycle states.
 ALERT_STATES = ("pending", "firing", "resolved")
+
+#: Incident cross-link kinds and the keys each carries.
+LINK_KEYS = {"request": ("request_id", "track"), "fault": ("draw", "fault")}
 
 #: Default consecutive-queued-step streak the starvation detector flags.
 STARVATION_MIN_STEPS = 8
@@ -689,63 +696,71 @@ class SloMonitor:
 
 
 def validate_timeline_doc(doc: dict) -> None:
-    """Structural validation of a ``repro.alerts/v1`` document.
-
-    The same invariants ``scripts/check_trace_schema.py`` enforces in
-    CI, importable for tests: schema stamp, per-``(source, slo, rule)``
-    non-overlapping incident intervals, ``pending <= firing <=
-    resolved`` ordering, and non-empty links on every firing incident.
-    """
-    if doc.get("schema") != ALERTS_SCHEMA:
-        raise MonitorError(
-            f"expected schema {ALERTS_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
-    slo_names = {s["name"] for s in doc.get("slos", ())}
-    rule_names = {r["name"] for r in doc.get("rules", ())}
+    """Validate a ``repro.alerts/v1`` incident timeline: SLO targets in
+    (0, 1), rule short windows within long ones, incidents naming
+    declared SLOs/rules and known states with ``pending <= firing <=
+    resolved``, links on every firing incident, and no overlap per
+    ``(source, slo, rule)``."""
+    check_schema(doc, ALERTS_SCHEMA, MonitorError)
+    require_keys(doc, ("source", "start_s", "end_s", "n_request_events",
+                       "n_fault_events", "slos", "rules", "incidents"),
+                 "alerts timeline", MonitorError)
+    for i, slo in enumerate(doc["slos"]):
+        require_keys(slo, ("name", "objective", "target", "n_events",
+                           "n_bad", "good_fraction", "met"),
+                     f"slos[{i}]", MonitorError)
+        if not (finite(slo["target"]) and 0 < slo["target"] < 1):
+            raise MonitorError(f"slos[{i}]: target must be in (0, 1)")
+    for i, rule in enumerate(doc["rules"]):
+        require_keys(rule, ("name", "long_window_s", "short_window_s",
+                            "max_burn_rate", "for_s", "severity"),
+                     f"rules[{i}]", MonitorError)
+        if rule["short_window_s"] > rule["long_window_s"]:
+            raise MonitorError(f"rules[{i}]: short window exceeds long "
+                               f"window")
+    slo_names = {slo["name"] for slo in doc["slos"]}
+    rule_names = {rule["name"] for rule in doc["rules"]}
     by_pair: Dict[Tuple, List[dict]] = {}
-    for i, inc in enumerate(doc.get("incidents", ())):
+    for i, inc in enumerate(doc["incidents"]):
         where = f"incidents[{i}]"
+        require_keys(inc, ("slo", "rule", "severity", "state", "pending_s",
+                           "firing_s", "resolved_s", "peak_burn_rate",
+                           "links"), where, MonitorError)
+        pending, firing, resolved = (inc["pending_s"], inc["firing_s"],
+                                     inc["resolved_s"])
         if inc["slo"] not in slo_names:
             raise MonitorError(f"{where}: unknown SLO {inc['slo']!r}")
         if inc["rule"] not in rule_names:
             raise MonitorError(f"{where}: unknown rule {inc['rule']!r}")
         if inc["state"] not in ALERT_STATES:
             raise MonitorError(f"{where}: unknown state {inc['state']!r}")
-        pending, firing, resolved = (inc["pending_s"], inc["firing_s"],
-                                     inc["resolved_s"])
-        if not isinstance(pending, (int, float)) \
-                or not math.isfinite(pending):
+        if not finite(pending):
             raise MonitorError(f"{where}: pending_s must be finite")
-        if firing is not None and firing < pending:
+        if firing is not None and not (finite(firing) and firing >= pending):
             raise MonitorError(f"{where}: firing_s < pending_s")
-        if resolved is not None:
-            anchor = pending if firing is None else firing
-            if resolved < anchor:
-                raise MonitorError(f"{where}: resolved_s precedes "
-                                   f"{'firing' if firing else 'pending'}_s")
         if firing is not None and not inc["links"]:
-            raise MonitorError(
-                f"{where}: firing incident with no cross-links"
-            )
-        for link in inc["links"]:
-            if link.get("kind") not in ("request", "fault"):
-                raise MonitorError(
-                    f"{where}: unknown link kind {link.get('kind')!r}"
-                )
-        key = (inc.get("source", doc.get("source")), inc["slo"],
-               inc["rule"])
+            raise MonitorError(f"{where}: firing incident with no "
+                               f"cross-links")
+        anchor = "pending_s" if firing is None else "firing_s"
+        if resolved is not None and not (finite(resolved)
+                                         and resolved >= inc[anchor]):
+            raise MonitorError(f"{where}: resolved_s precedes {anchor}")
+        for j, link in enumerate(inc["links"]):
+            if link.get("kind") not in LINK_KEYS:
+                raise MonitorError(f"{where}: unknown link kind "
+                                   f"{link.get('kind')!r}")
+            require_keys(link, LINK_KEYS[link["kind"]],
+                         f"{where}: links[{j}]", MonitorError)
+        key = (inc.get("source", doc["source"]), inc["slo"], inc["rule"])
         by_pair.setdefault(key, []).append(inc)
     for key, incidents in sorted(by_pair.items()):
         incidents = sorted(incidents, key=lambda inc: inc["pending_s"])
         for a, b in zip(incidents, incidents[1:]):
-            end = a["resolved_s"]
-            if end is None:
+            if a["resolved_s"] is None:
                 raise MonitorError(
                     f"{key}: unresolved incident at {a['pending_s']!r} "
-                    f"followed by another at {b['pending_s']!r}"
-                )
-            if b["pending_s"] < end:
-                raise MonitorError(
-                    f"{key}: incidents overlap "
-                    f"({b['pending_s']!r} < {end!r})"
-                )
+                    f"followed by another at {b['pending_s']!r}")
+            if b["pending_s"] < a["resolved_s"]:
+                raise MonitorError(f"{key}: incidents overlap "
+                                   f"({b['pending_s']!r} < "
+                                   f"{a['resolved_s']!r})")

@@ -49,14 +49,25 @@ from repro.hw.energy import HELPER_POWER_FRACTION
 from repro.hw.processor import DType, ProcKind, ProcessorSpec
 from repro.hw.trace import Trace
 
+from repro.obs.metrics import validate_metric_record
 #: Schema identifier stamped into every profile JSON.
-from repro.obs.schemas import PROFILE_SCHEMA  # noqa: E402 (constant table)
+from repro.obs.schemas import (
+    PROFILE_SCHEMA,
+    check_schema,
+    finite,
+    require_keys,
+)
 
 #: Idle-cause categories, in classification priority order.
 IDLE_CAUSES = ("graph_build", "sync_wait", "dependency", "starvation")
 
 #: Maximum tolerated |busy + idle - window| per processor.
 PROFILE_TOL_S = 1e-9
+
+#: Keys of a serialized processor record; all but the first and last
+#: are non-negative numbers.
+_PROC_KEYS = ("proc", "busy_s", "span_s", "idle_s", "matmul_busy_s",
+              "matmul_ops", "idle_by_cause")
 
 
 class ProfileError(ReproError):
@@ -399,29 +410,85 @@ class ProfileReport:
         return table
 
 
-def validate_profile(report: ProfileReport,
-                     tol_s: float = PROFILE_TOL_S) -> None:
-    """Assert the conservation invariant: per processor, attributed busy
-    time plus classified idle time equals the profiled window."""
-    for p in report.processors:
-        residual = p.busy_s + p.idle_s - report.window_s
-        if abs(residual) > tol_s * max(1.0, report.n_traces):
-            raise ProfileError(
-                f"{p.proc}: busy {p.busy_s!r} + idle {p.idle_s!r} != "
-                f"window {report.window_s!r} "
-                f"(residual {residual:.3e} s)"
-            )
-    op_busy: Dict[str, float] = {}
-    for o in report.operators:
-        op_busy[o.proc] = op_busy.get(o.proc, 0.0) + o.busy_s
-    for p in report.processors:
-        residual = op_busy.get(p.proc, 0.0) - p.busy_s
-        if abs(residual) > tol_s * max(1.0, report.n_traces):
-            raise ProfileError(
-                f"{p.proc}: per-operator busy sums to "
-                f"{op_busy.get(p.proc, 0.0)!r}, processor busy is "
-                f"{p.busy_s!r}"
-            )
+def validate_profile(report, tol_s: float = PROFILE_TOL_S) -> None:
+    """Validate a ``repro.profile/v1`` report (a :class:`ProfileReport`
+    or its dict): record shapes and the conservation invariants — per
+    processor, busy + classified idle == window, the idle causes sum to
+    the idle time and the operators' busy time to the processor's; per
+    energy section, tags + idle == total, and the sections plus platform
+    sum to ``total_j`` — within ``tol_s`` per merged trace."""
+    doc = report.to_dict() if isinstance(report, ProfileReport) else report
+    check_schema(doc, PROFILE_SCHEMA, ProfileError)
+    require_keys(doc, ("window_s", "n_traces", "processors", "operators",
+                       "phases", "energy", "flamegraph"),
+                 "profile", ProfileError)
+    window, n_traces = doc["window_s"], doc["n_traces"]
+    if not finite(window) or window < 0:
+        raise ProfileError("window_s must be a non-negative number")
+    if not isinstance(n_traces, int) or n_traces < 0:
+        raise ProfileError("n_traces must be a non-negative integer")
+    tol = tol_s * max(1, n_traces)
+    busy: Dict[str, float] = {}
+    for i, proc in enumerate(doc["processors"]):
+        where = f"processors[{i}]"
+        require_keys(proc, _PROC_KEYS, where, ProfileError)
+        name, idle = proc["proc"], proc["idle_by_cause"]
+        for key in _PROC_KEYS[1:-1]:
+            if not finite(proc[key]) or proc[key] < 0:
+                raise ProfileError(f"{where}: {key!r} must be a "
+                                   f"non-negative number")
+        if sorted(idle) != sorted(IDLE_CAUSES):
+            raise ProfileError(f"{where}: idle causes {sorted(idle)}")
+        if not all(finite(v) and v >= 0 for v in idle.values()):
+            raise ProfileError(f"{where}: idle seconds must be "
+                               f"non-negative numbers")
+        if abs(sum(idle.values()) - proc["idle_s"]) > tol:
+            raise ProfileError(f"{where}: idle_by_cause != idle_s")
+        gap = proc["busy_s"] + proc["idle_s"] - window
+        if abs(gap) > tol:
+            raise ProfileError(f"{where} ({name}): busy + idle != window "
+                               f"(off by {gap:.3e} s > {tol:.3e} s)")
+        if name in busy:
+            raise ProfileError(f"{where}: duplicate processor {name!r}")
+        busy[name] = proc["busy_s"]
+    op_busy = dict.fromkeys(busy, 0.0)
+    for i, op in enumerate(doc["operators"]):
+        where = f"operators[{i}]"
+        require_keys(op, ("proc", "tag", "n_events", "busy_s", "ops"),
+                     where, ProfileError)
+        if op["proc"] not in busy:
+            raise ProfileError(f"{where}: unknown processor {op['proc']!r}")
+        if not finite(op["busy_s"]) or op["busy_s"] < 0:
+            raise ProfileError(f"{where}: busy_s must be non-negative")
+        op_busy[op["proc"]] += op["busy_s"]
+    for name, total in op_busy.items():
+        if abs(total - busy[name]) > tol:
+            raise ProfileError(f"{name}: per-operator busy sums to "
+                               f"{total!r}, processor busy is {busy[name]!r}")
+    energy = doc["energy"]
+    if energy is not None:
+        require_keys(energy, ("per_processor", "platform_j", "total_j"),
+                     "energy", ProfileError)
+        attributed = energy["platform_j"]
+        for name, section in sorted(energy["per_processor"].items()):
+            where = f"energy[{name!r}]"
+            require_keys(section, ("tags", "idle_j", "total_j"), where,
+                         ProfileError)
+            if abs(sum(section["tags"].values()) + section["idle_j"]
+                   - section["total_j"]) > tol:
+                raise ProfileError(f"{where}: tags + idle != total")
+            attributed += section["total_j"]
+        if abs(attributed - energy["total_j"]) > tol:
+            raise ProfileError("energy components do not sum to total_j")
+    for i, line in enumerate(doc["flamegraph"]):
+        stack, _, weight = line.rpartition(" ")
+        if not stack or not weight.isdigit():
+            raise ProfileError(f"flamegraph[{i}] not 'stack <integer-ns>'")
+    metrics = doc.get("metrics")
+    if metrics is not None and not isinstance(metrics, list):
+        raise ProfileError("metrics must be a snapshot list")
+    for i, record in enumerate(metrics or ()):
+        validate_metric_record(record, f"metrics[{i}]")
 
 
 def profile_trace(trace: Trace, device=None,

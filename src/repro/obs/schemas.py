@@ -4,14 +4,14 @@ Every schema-versioned JSON document the repo emits declares itself via
 a ``"schema"`` key whose value lives here and **only** here.  Producer
 modules (``obs/profile.py``, ``obs/artifact.py``, ``obs/monitor.py``,
 ``obs/sketch.py``, ``obs/steplog.py``, ``eval/fleet.py``) import their
-constant from this table, and ``scripts/check_trace_schema.py`` loads
-this file *by path* (``importlib.util.spec_from_file_location``) so the
-stdlib-only checker validates against the very same strings — a new
-schema cannot drift between writer and checker.
+constant from this table, and :func:`repro.obs.validate.validate_doc`
+dispatches on it to the one validator each schema has.
 
-This module must stay dependency-free (pure constants): the schema
-checker executes it without numpy or the ``repro`` package on its path.
+The small helpers at the bottom are the primitives those validators
+share: the schema stamp, required keys, finiteness, quantile read-outs.
 """
+
+import math
 
 #: Per-operator/per-processor attribution reports (``llmnpu profile``).
 PROFILE_SCHEMA = "repro.profile/v1"
@@ -45,8 +45,7 @@ BENCHDIFF_SCHEMA = "repro.benchdiff/v1"
 
 #: The ``repro.diff/v1`` per-segment status taxonomy: how an aligned
 #: critical-path segment moved between the base and new runs (see
-#: ``obs/diff.py``).  Lives here so the stdlib-only schema checker
-#: validates against the same closed set the writer enforces.
+#: ``obs/diff.py``).
 DIFF_STATUSES = (
     "grew",
     "shrank",
@@ -66,8 +65,6 @@ DIFF_KINDS = (
 
 #: The ``repro.critpath/v1`` edge taxonomy: what gated each on-path
 #: segment (see ``obs/critical_path.py`` for the per-edge semantics).
-#: Lives here so the stdlib-only schema checker validates against the
-#: same closed set the writer enforces.
 CRITPATH_EDGES = (
     "origin",
     "inferred",
@@ -77,8 +74,7 @@ CRITPATH_EDGES = (
 )
 
 #: The ``repro.steps/v1`` decision taxonomy (see ``obs/steplog.py`` for
-#: the per-action semantics).  Lives here so the stdlib-only schema
-#: checker validates against the same closed set the writer enforces.
+#: the per-action semantics).
 DECISION_ACTIONS = (
     "admitted",
     "admission-rejected",
@@ -97,20 +93,58 @@ DECISION_ACTIONS = (
     "failed",
 )
 
-#: Every document schema, keyed by its ``"schema"`` string.  The schema
-#: checker iterates this to dispatch validation; keep descriptions short
-#: — they surface in ``check_trace_schema.py --help``-style output.
+#: Every document schema, keyed by its ``"schema"`` string, with the
+#: one-line description ``scripts/check_trace_schema.py`` prints for a
+#: file that validates.
 SCHEMA_TABLE = {
     PROFILE_SCHEMA: "time/energy attribution report",
     BENCH_SCHEMA: "benchmark artifact with directional metrics",
     ALERTS_SCHEMA: "SLO burn-rate incident timeline",
     FLEET_SCHEMA: "fleet telemetry roll-up",
     SKETCH_SCHEMA: "mergeable quantile sketch",
-    STEPS_SCHEMA: "per-step scheduler telemetry + decision log",
+    STEPS_SCHEMA: "scheduler step log: per-step telemetry + decisions",
     CRITPATH_SCHEMA: "critical-path attribution with per-segment slack",
     DIFF_SCHEMA: "run-to-run differential attribution",
     BENCHDIFF_SCHEMA: "bench-compare machine-readable delta report",
 }
+
+
+def finite(value) -> bool:
+    """A real, finite number (``bool`` is not a number here)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_schema(doc, schema: str, error) -> None:
+    """Raise ``error`` unless ``doc`` is an object stamped ``schema``."""
+    got = doc.get("schema") if isinstance(doc, dict) else type(doc).__name__
+    if got != schema:
+        raise error(f"expected schema {schema!r}, got {got!r}")
+
+
+def require_keys(record, keys, where: str, error) -> None:
+    """Raise ``error`` unless ``record`` is an object holding ``keys``."""
+    if not isinstance(record, dict):
+        raise error(f"{where}: must be an object")
+    for key in keys:
+        if key not in record:
+            raise error(f"{where}: missing {key!r}")
+
+
+def check_quantiles(record: dict, keys, where: str, error) -> None:
+    """Raise ``error`` unless ``record["count"]`` is a non-negative
+    integer and the quantile ``keys`` are null exactly when it is 0 and
+    finite otherwise (histogram and sketch read-outs)."""
+    count = record.get("count")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise error(f"{where}: count must be a non-negative integer")
+    for key in keys:
+        value = record.get(key)
+        if count == 0 and value is not None:
+            raise error(f"{where}: empty with non-null {key!r}")
+        if count and not finite(value):
+            raise error(f"{where}: non-finite {key!r}")
+
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -127,4 +161,8 @@ __all__ = [
     "CRITPATH_EDGES",
     "DECISION_ACTIONS",
     "SCHEMA_TABLE",
+    "check_quantiles",
+    "check_schema",
+    "finite",
+    "require_keys",
 ]

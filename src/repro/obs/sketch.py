@@ -55,7 +55,13 @@ from typing import Dict, Iterable, Optional
 from repro.errors import ReproError
 
 #: Schema identifier stamped into every serialized sketch.
-from repro.obs.schemas import SKETCH_SCHEMA  # noqa: E402 (constant table)
+from repro.obs.schemas import (  # noqa: E402 (constant table)
+    SKETCH_SCHEMA,
+    check_quantiles,
+    check_schema,
+    finite,
+    require_keys,
+)
 
 #: Default relative accuracy (1% — p99 of a 10 s tail is within 100 ms).
 DEFAULT_ALPHA = 0.01
@@ -69,6 +75,43 @@ class SketchError(ReproError):
     """Quantile sketch misuse (negative sample, mismatched merge...)."""
 
 
+def _check_parameters(alpha, min_value) -> None:
+    if not finite(alpha) or not 0.0 < alpha < 1.0:
+        raise SketchError(f"alpha must be in (0, 1), got {alpha!r}")
+    if not finite(min_value) or not min_value > 0.0:
+        raise SketchError(
+            f"min_value must be a positive finite number, got "
+            f"{min_value!r}"
+        )
+
+
+def validate_sketch_doc(doc: dict) -> None:
+    """Validate a ``repro.sketch/v1`` document: valid parameters,
+    non-negative integer bucket counts that add up to ``count``, an
+    exact ``[numerator, denominator]`` sum, and ``min``/``max`` null
+    exactly when the sketch is empty (ordered otherwise)."""
+    check_schema(doc, SKETCH_SCHEMA, SketchError)
+    require_keys(doc, ("alpha", "min_value", "count", "zero_count",
+                       "buckets", "sum", "min", "max"), "sketch",
+                 SketchError)
+    _check_parameters(doc["alpha"], doc["min_value"])
+    check_quantiles(doc, ("min", "max"), "sketch", SketchError)
+    counts = [doc["zero_count"], *doc["buckets"].values()]
+    if not all(isinstance(n, int) and n >= 0 for n in counts):
+        raise SketchError("zero and bucket counts must be non-negative "
+                          "integers")
+    if not all(key.lstrip("-").isdigit() for key in doc["buckets"]):
+        raise SketchError("bucket keys must be integers")
+    if sum(counts) != doc["count"]:
+        raise SketchError("count != zero_count + bucket counts")
+    pair = doc["sum"]
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(n, int) for n in pair) and pair[1] > 0):
+        raise SketchError("sum must be a [numerator, denominator] pair")
+    if doc["count"] and not 0 <= doc["min"] <= doc["max"]:
+        raise SketchError("min/max must be ordered and non-negative")
+
+
 class QuantileSketch:
     """Mergeable log-bucketed quantile sketch (see module docstring)."""
 
@@ -77,13 +120,7 @@ class QuantileSketch:
 
     def __init__(self, alpha: float = DEFAULT_ALPHA,
                  min_value: float = DEFAULT_MIN_VALUE):
-        if not 0.0 < alpha < 1.0:
-            raise SketchError(f"alpha must be in (0, 1), got {alpha!r}")
-        if not min_value > 0.0 or not math.isfinite(min_value):
-            raise SketchError(
-                f"min_value must be a positive finite number, got "
-                f"{min_value!r}"
-            )
+        _check_parameters(alpha, min_value)
         self.alpha = float(alpha)
         self.min_value = float(min_value)
         self._gamma = (1.0 + self.alpha) / (1.0 - self.alpha)
@@ -300,11 +337,9 @@ class QuantileSketch:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuantileSketch":
-        if not isinstance(data, dict) or data.get("schema") != SKETCH_SCHEMA:
-            raise SketchError(
-                f"expected schema {SKETCH_SCHEMA!r}, got "
-                f"{data.get('schema') if isinstance(data, dict) else data!r}"
-            )
+        """Rebuild a sketch from :meth:`to_dict` output (checks the
+        stamp only; :func:`validate_sketch_doc` checks a whole file)."""
+        check_schema(data, SKETCH_SCHEMA, SketchError)
         sketch = cls(alpha=data["alpha"], min_value=data["min_value"])
         sketch._zero_count = int(data["zero_count"])
         sketch._count = int(data["count"])

@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 
-# The decision taxonomy lives in the dependency-free constant table so
-# the stdlib-only schema checker validates against the same closed set.
+# The decision taxonomy lives in the schema constant table,
+# ``repro.obs.schemas``.
 # Admission-time: ``admitted`` / ``admission-rejected``.  Start-loop:
 # ``started`` / ``kv-deferred`` / ``concurrency-deferred``.  Per-step
 # assembly: ``chunk-scheduled`` / ``decode-scheduled`` /
@@ -43,7 +43,13 @@ from repro.errors import ReproError
 # Legacy-path dispatch: ``dispatched``.  Terminal: the record's status
 # (``completed`` / ``rejected`` / ``cancelled`` / ``timeout`` /
 # ``failed``).
-from repro.obs.schemas import DECISION_ACTIONS, STEPS_SCHEMA
+from repro.obs.schemas import (
+    DECISION_ACTIONS,
+    STEPS_SCHEMA,
+    check_schema,
+    finite,
+    require_keys,
+)
 
 
 class StepLogError(ReproError):
@@ -258,38 +264,50 @@ def load_steps(path: str) -> dict:
 
 
 def validate_steps_doc(doc: dict) -> None:
-    """Structural validation of a ``repro.steps/v1`` document."""
-    if not isinstance(doc, dict):
-        raise StepLogError("step log must be a JSON object")
-    if doc.get("schema") != STEPS_SCHEMA:
-        raise StepLogError(
-            f"expected schema {STEPS_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
+    """Validate a ``repro.steps/v1`` document: record lists matching
+    their counts; steps with finite windows that their items' spans fill
+    within 1e-9 s (work conservation); decisions from the closed action
+    taxonomy at finite times; requests with a numeric breakdown."""
+    check_schema(doc, STEPS_SCHEMA, StepLogError)
     for key in ("steps", "decisions", "requests"):
         if not isinstance(doc.get(key), list):
             raise StepLogError(f"step log missing list {key!r}")
-    if doc.get("n_steps") != len(doc["steps"]):
-        raise StepLogError("n_steps does not match the steps list")
-    for step in doc["steps"]:
-        for key in ("index", "start_s", "end_s", "n_inflight",
-                    "batch_tokens", "items", "queued_ids"):
-            if key not in step:
-                raise StepLogError(f"step missing key {key!r}")
-        if step["end_s"] < step["start_s"]:
-            raise StepLogError(f"step {step['index']}: end before start")
+        if doc.get("n_" + key) != len(doc[key]):
+            raise StepLogError(f"n_{key} != len({key})")
+    require_keys(doc, ("source",), "step log", StepLogError)
+    for i, step in enumerate(doc["steps"]):
+        where = f"steps[{i}]"
+        require_keys(step, ("index", "start_s", "end_s", "n_inflight",
+                            "batch_tokens", "items", "queued_ids",
+                            "queue_depths"), where, StepLogError)
+        start, end = step["start_s"], step["end_s"]
+        if not finite(start) or not finite(end):
+            raise StepLogError(f"{where}: step window must be finite")
+        if end < start:
+            raise StepLogError(f"{where}: end before start")
         span = sum(it["end_s"] - it["start_s"] for it in step["items"])
-        if abs(span - (step["end_s"] - step["start_s"])) > 1e-9:
-            raise StepLogError(
-                f"step {step['index']}: items span {span!r} != step "
-                f"window {step['end_s'] - step['start_s']!r}"
-            )
-    for dec in doc["decisions"]:
-        Decision.from_dict(dec)
-    for req in doc["requests"]:
-        for key in ("request_id", "tier", "status", "arrival_s",
-                    "start_s", "finish_s", "breakdown"):
-            if key not in req:
-                raise StepLogError(f"request record missing key {key!r}")
+        if abs(span - (end - start)) > 1e-9:
+            raise StepLogError(f"{where}: items span {span!r} != step "
+                               f"window {end - start!r}")
+    for i, dec in enumerate(doc["decisions"]):
+        where = f"decisions[{i}]"
+        require_keys(dec, ("t_s", "request_id", "action", "tier"), where,
+                     StepLogError)
+        if dec["action"] not in DECISION_ACTIONS:
+            raise StepLogError(f"{where}: unknown decision action "
+                               f"{dec['action']!r}")
+        if not finite(dec["t_s"]):
+            raise StepLogError(f"{where}: t_s must be a finite number")
+    for i, req in enumerate(doc["requests"]):
+        where = f"requests[{i}]"
+        require_keys(req, ("request_id", "tier", "status", "arrival_s",
+                           "start_s", "finish_s", "breakdown"), where,
+                     StepLogError)
+        for key in ("queue_s", "admission_s", "retry_s", "prefill_s",
+                    "decode_s", "turnaround_s"):
+            if not finite(req["breakdown"].get(key)):
+                raise StepLogError(f"{where}: breakdown missing numeric "
+                                   f"{key!r}")
 
 
 def as_steps_doc(source) -> dict:

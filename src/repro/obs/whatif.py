@@ -39,7 +39,7 @@ class WhatIfError(ReproError):
     """Capture, perturbation, or replay failure."""
 
 
-def _tag_matches(task_tag: str, pattern: str) -> bool:
+def tag_matches(task_tag: str, pattern: str) -> bool:
     """A perturbation tag matches exactly or on a dotted prefix, so
     ``sg1`` also covers ``sg1.float`` but not ``sg10``."""
     return task_tag == pattern or task_tag.startswith(pattern + ".")
@@ -62,7 +62,7 @@ class OperatorSpeedup:
         return f"{self.tag} {self.factor:g}x faster"
 
     def apply(self, task: Task) -> Task:
-        if not _tag_matches(task.tag, self.tag):
+        if not tag_matches(task.tag, self.tag):
             return task
         return replace(task, duration_s=task.duration_s / self.factor)
 
@@ -93,7 +93,7 @@ class ProcessorReassign:
         return f"{self.tag} -> {self.proc}{scale}"
 
     def apply(self, task: Task) -> Task:
-        if not _tag_matches(task.tag, self.tag):
+        if not tag_matches(task.tag, self.tag):
             return task
         return replace(task, proc=self.proc,
                        duration_s=task.duration_s * self.duration_scale)
