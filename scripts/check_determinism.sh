@@ -14,21 +14,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-
-# twice WHAT FILE CMD...: run CMD twice, in separate interpreters, into
-# FILE and FILE.again; fail unless the two outputs are byte-identical.
-twice() {
-    local what=$1 file=$2
-    shift 2
-    "$@" > "$file"
-    "$@" > "$file.again"
-    if ! diff -u "$file" "$file.again"; then
-        echo "FAIL: consecutive $what differ" >&2
-        exit 1
-    fi
-}
 
 snapshot() {
     python -c 'from repro.eval import service_golden_snapshot
@@ -45,15 +30,31 @@ profile() {
 print(golden_profile_json(seed=42))'
 }
 
-out1=$tmp/out1
-trace1=$tmp/trace1
-prof1=$tmp/prof1
+out1=$(mktemp)
+out2=$(mktemp)
+trace1=$(mktemp)
+trace2=$(mktemp)
+prof1=$(mktemp)
+prof2=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2"' EXIT
 
-twice "golden service runs" "$out1" snapshot
+snapshot > "$out1"
+snapshot > "$out2"
+
+if ! diff -u "$out1" "$out2"; then
+    echo "FAIL: consecutive golden service runs differ" >&2
+    exit 1
+fi
 echo "OK: golden service report is byte-identical across runs" \
      "($(wc -l < "$out1") lines)"
 
-twice "golden trace exports" "$trace1" trace
+trace > "$trace1"
+trace > "$trace2"
+
+if ! cmp -s "$trace1" "$trace2"; then
+    echo "FAIL: consecutive golden trace exports differ" >&2
+    exit 1
+fi
 echo "OK: golden unified trace is byte-identical across runs" \
      "($(wc -c < "$trace1") bytes)"
 
@@ -61,7 +62,13 @@ echo "OK: golden unified trace is byte-identical across runs" \
 # environment capture, so the full attribution — busy/idle seconds,
 # idle-cause classification, roofline numerators, per-event energy,
 # flamegraph weights — must also serialize to identical bytes.
-twice "golden profile reports" "$prof1" profile
+profile > "$prof1"
+profile > "$prof2"
+
+if ! cmp -s "$prof1" "$prof2"; then
+    echo "FAIL: consecutive golden profile reports differ" >&2
+    exit 1
+fi
 python scripts/check_trace_schema.py "$prof1"
 echo "OK: golden profile report is byte-identical across runs" \
      "($(wc -c < "$prof1") bytes)"
@@ -75,8 +82,18 @@ fleet() {
 print(fleet_golden_json(seed=42))'
 }
 
-fleet1=$tmp/fleet1
-twice "fleet SLO reports" "$fleet1" fleet
+fleet1=$(mktemp)
+fleet2=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
+     "$fleet1" "$fleet2"' EXIT
+
+fleet > "$fleet1"
+fleet > "$fleet2"
+
+if ! cmp -s "$fleet1" "$fleet2"; then
+    echo "FAIL: consecutive fleet SLO reports differ" >&2
+    exit 1
+fi
 python scripts/check_trace_schema.py "$fleet1"
 echo "OK: fleet SLO report is byte-identical across runs" \
      "($(wc -c < "$fleet1") bytes)"
@@ -106,9 +123,11 @@ print(golden_profile_json(
     seed=42, batching=BatchConfig(max_concurrency=1)))'
 }
 
-seq1=$tmp/seq1
-seq2=$tmp/seq2
-seq3=$tmp/seq3
+seq1=$(mktemp)
+seq2=$(mktemp)
+seq3=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
+     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3"' EXIT
 
 seq_snapshot > "$seq1"
 if ! diff -u "$out1" "$seq1"; then
@@ -140,10 +159,19 @@ print(service_batching_golden_snapshot(seed=42, prefill_priority=$1))"
 }
 
 for p in 0.0 1.0; do
-    b1=$tmp/batching$p
-    twice "step-loop runs (prefill_priority=$p)" "$b1" batching "$p"
+    b1=$(mktemp)
+    b2=$(mktemp)
+    batching "$p" > "$b1"
+    batching "$p" > "$b2"
+    if ! cmp -s "$b1" "$b2"; then
+        echo "FAIL: consecutive step-loop runs differ" \
+             "(prefill_priority=$p)" >&2
+        rm -f "$b1" "$b2"
+        exit 1
+    fi
     echo "OK: step-loop batching snapshot is byte-identical across" \
          "runs (prefill_priority=$p, $(wc -l < "$b1") lines)"
+    rm -f "$b1" "$b2"
 done
 
 # The scheduler step log (repro.steps/v1) — queue snapshots, typed
@@ -155,10 +183,20 @@ steplog() {
 print(golden_steplog_json(seed=42, batched=True))'
 }
 
-steps1=$tmp/steps1
-noop1=$tmp/noop1
+steps1=$(mktemp)
+steps2=$(mktemp)
+noop1=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
+     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
+     "$noop1"' EXIT
 
-twice "golden step logs" "$steps1" steplog
+steplog > "$steps1"
+steplog > "$steps2"
+
+if ! cmp -s "$steps1" "$steps2"; then
+    echo "FAIL: consecutive golden step logs differ" >&2
+    exit 1
+fi
 python scripts/check_trace_schema.py "$steps1"
 echo "OK: golden step log is byte-identical across runs" \
      "($(wc -c < "$steps1") bytes)"
@@ -185,8 +223,11 @@ echo "OK: golden snapshot is unchanged with step logging attached" \
 # pipelines across a worker pool (and any submission order of the same
 # specs) must reproduce the sequential report byte-for-byte, on both
 # the legacy 3-device golden and a splitmix-seeded fleet.
-par1=$tmp/par1
-par2=$tmp/par2
+par1=$(mktemp)
+par2=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
+     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
+     "$noop1" "$par1" "$par2"' EXIT
 
 python -c 'from repro.eval import fleet_golden_json
 print(fleet_golden_json(seed=42, workers=4))' > "$par1"
@@ -221,8 +262,19 @@ critpath() {
 print(golden_critpath_json(seed=42))'
 }
 
-cp1=$tmp/cp1
-twice "golden critical-path documents" "$cp1" critpath
+cp1=$(mktemp)
+cp2=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
+     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
+     "$noop1" "$par1" "$par2" "$cp1" "$cp2"' EXIT
+
+critpath > "$cp1"
+critpath > "$cp2"
+
+if ! cmp -s "$cp1" "$cp2"; then
+    echo "FAIL: consecutive golden critical-path documents differ" >&2
+    exit 1
+fi
 python scripts/check_trace_schema.py "$cp1"
 echo "OK: golden critical-path document is byte-identical across runs" \
      "($(wc -c < "$cp1") bytes)"
@@ -279,8 +331,19 @@ diffpair() {
 print(golden_diff_json())'
 }
 
-diff1=$tmp/diff1
-twice "injected-slowdown diffs" "$diff1" diffpair
+diff1=$(mktemp)
+diff2=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
+     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
+     "$noop1" "$par1" "$par2" "$cp1" "$cp2" "$diff1" "$diff2"' EXIT
+
+diffpair > "$diff1"
+diffpair > "$diff2"
+
+if ! cmp -s "$diff1" "$diff2"; then
+    echo "FAIL: consecutive injected-slowdown diffs differ" >&2
+    exit 1
+fi
 python scripts/check_trace_schema.py "$diff1"
 python -c '
 import json, sys
@@ -293,6 +356,7 @@ assert top["tag"] == INJECTED_TAG, \
     f"top contributor is {top['\''tag'\'']!r}, not the injected {INJECTED_TAG!r}"
 assert doc["e2e"]["delta_s"] > 0.0
 worst = max(abs(r["residual_s"]) for r in doc["requests"])
+assert worst <= doc["tol_s"], worst
 base_doc, _ = injected_slowdown_docs()
 self_doc = diff_docs(base_doc, base_doc)
 assert self_doc["identical"], "self-diff is not identical"
@@ -309,8 +373,12 @@ echo "OK: injected-slowdown diff is byte-identical across runs" \
 # fleet of a different seed, then emit the golden service snapshot and
 # critical-path document in that same interpreter: both must equal the
 # cold outputs above byte-for-byte.
-warm1=$tmp/warm1
-warm2=$tmp/warm2
+warm1=$(mktemp)
+warm2=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
+     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
+     "$noop1" "$par1" "$par2" "$cp1" "$cp2" "$diff1" "$diff2" \
+     "$warm1" "$warm2"' EXIT
 
 python -c '
 import sys

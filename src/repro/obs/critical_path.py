@@ -39,7 +39,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -163,8 +163,7 @@ class CriticalPath:
             acc[tag] = acc.get(tag, 0.0) + s.duration_s
         return {k: acc[k] for k in sorted(acc)}
 
-    def _summary(self) -> dict:
-        """Every :meth:`to_dict` field but the segment and slack lists."""
+    def to_dict(self) -> dict:
         return {
             "source": self.source,
             "origin_s": self.origin_s,
@@ -175,12 +174,9 @@ class CriticalPath:
             "wait_s": self.wait_s,
             "by_proc": self.by_proc(),
             "by_tag": self.by_tag(),
+            "segments": [s.to_dict() for s in self.segments],
+            "slack": [s.to_dict() for s in self.slack],
         }
-
-    def to_dict(self) -> dict:
-        return dict(self._summary(),
-                    segments=[s.to_dict() for s in self.segments],
-                    slack=[s.to_dict() for s in self.slack])
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
@@ -361,9 +357,10 @@ def _slack_records(events: Sequence[TraceEvent],
 
 _PATH_KEYS = ("source", "origin_s", "e2e_s", "n_events", "n_segments",
               "work_s", "wait_s", "by_proc", "by_tag", "segments", "slack")
-_SEGMENT_FIELDS = ("task_id", "proc", "tag", "start_s", "end_s",
-                   "duration_s", "wait_s", "edge")
-_SLACK_FIELDS = ("task_id", "proc", "tag", "start_s", "end_s", "slack_s")
+_SEGMENT_FIELDS = itemgetter("task_id", "proc", "tag", "start_s", "end_s",
+                             "duration_s", "wait_s", "edge")
+_SLACK_FIELDS = itemgetter("task_id", "proc", "tag", "start_s", "end_s",
+                           "slack_s")
 
 
 def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
@@ -374,13 +371,8 @@ def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
     e2e, durations sum to ``work_s``, ``by_proc`` and ``by_tag``, and no
     wait or slack is negative — within ``tol_s``; NaN fails every test.
     """
-    if isinstance(path, CriticalPath):  # walk the records, don't copy them
-        doc = dict(path._summary(), segments=path.segments,
-                   slack=path.slack)
-        getter = attrgetter
-    else:
-        require_keys(path, _PATH_KEYS, "critical path", CritPathError)
-        doc, getter = path, itemgetter
+    doc = path.to_dict() if isinstance(path, CriticalPath) else path
+    require_keys(doc, _PATH_KEYS, "critical path", CritPathError)
     source, origin, e2e = doc["source"], doc["origin_s"], doc["e2e_s"]
     segments = doc["segments"]
     if not segments:
@@ -389,12 +381,12 @@ def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
         raise CritPathError(f"{source}: n_segments != len(segments)")
     if not finite(origin) or not finite(e2e):
         raise CritPathError(f"{source}: origin_s/e2e_s must be finite")
-    fields = getter(*_SEGMENT_FIELDS)
     prev_end, total, work = origin, 0.0, 0.0
     i, task_id = 0, None
     try:
         for i, seg in enumerate(segments):
-            task_id, _proc, _tag, start, end, dur, wait, edge = fields(seg)
+            task_id, _proc, _tag, start, end, dur, wait, edge = \
+                _SEGMENT_FIELDS(seg)
             if end - start < -tol_s:
                 raise CritPathError(f"negative duration {end - start!r}")
             if not abs(dur - (end - start)) <= tol_s:
@@ -423,17 +415,19 @@ def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
     if not abs((prev_end - origin) - e2e) <= tol_s:
         raise CritPathError(f"{source}: last finish {prev_end!r} - origin "
                             f"{origin!r} != e2e {e2e!r}")
+    for block in ("by_proc", "by_tag"):
+        if not isinstance(doc[block], dict):
+            raise CritPathError(f"{source}: {block} must be an object")
     for name, value in (("work_s", doc["work_s"]),
                         ("by_proc", sum(doc["by_proc"].values())),
                         ("by_tag", sum(doc["by_tag"].values()))):
-        if not abs(value - work) <= tol_s:
+        if not (finite(value) and abs(value - work) <= tol_s):
             raise CritPathError(f"{source}: {name} does not sum to on-path "
                                 f"work {work!r}")
-    fields = getter(*_SLACK_FIELDS)
     i, slack = 0, None
     try:
         for i, rec in enumerate(doc["slack"]):
-            task_id, _proc, _tag, _start, _end, slack = fields(rec)
+            task_id, _proc, _tag, _start, _end, slack = _SLACK_FIELDS(rec)
             if not -tol_s <= slack < math.inf:
                 raise TypeError
     except KeyError as exc:

@@ -514,8 +514,9 @@ def validate_diff(doc: dict, tol_s: Optional[float] = None) -> None:
     (raises :class:`DiffError`).  Every kind has a known ``kind``, a
     positive ``tol_s`` and a boolean ``identical``.  A critpath diff is
     the tentpole invariant: closed-taxonomy statuses, a zero base (new)
-    side on appeared (vanished) segments, ``delta = new - base``, and
-    per-segment deltas telescoping to each request's e2e delta and those
+    side on appeared (vanished) segments, ``delta = new - base``,
+    per-segment deltas telescoping to each request's e2e delta (with
+    the stored ``attributed_s`` and ``residual_s`` agreeing) and those
     to the total within ``tol_s`` (the document's by default); and
     ``identical`` only when nothing moved."""
     check_schema(doc, DIFF_SCHEMA, DiffError)
@@ -542,7 +543,8 @@ def validate_diff(doc: dict, tol_s: Optional[float] = None) -> None:
     total_delta = 0.0
     for i, req in enumerate(doc["requests"]):
         require_keys(req, ("source", "base_e2e_s", "new_e2e_s", "delta_s",
-                           "segments"), f"requests[{i}]", DiffError)
+                           "attributed_s", "residual_s", "segments"),
+                     f"requests[{i}]", DiffError)
         where, attributed, j = req["source"], 0.0, 0
         try:
             for j, seg in enumerate(req["segments"]):
@@ -572,6 +574,12 @@ def validate_diff(doc: dict, tol_s: Optional[float] = None) -> None:
                 f"{where}: attributed segment deltas {attributed!r} do "
                 f"not telescope to the observed e2e delta {observed!r} "
                 f"(residual {attributed - observed!r} > {tol_s!r} s)")
+        if not abs(req["attributed_s"] - attributed) <= tol_s:
+            raise DiffError(f"{where}: attributed_s != sum of segment "
+                            f"deltas")
+        if not abs(req["residual_s"] - (attributed - observed)) <= tol_s:
+            raise DiffError(f"{where}: residual_s != attributed - "
+                            f"observed e2e delta")
         moved = moved or abs(observed) > tol_s
         total_delta += observed
     e2e_delta = doc["e2e"]["delta_s"]

@@ -437,6 +437,8 @@ def validate_profile(report, tol_s: float = PROFILE_TOL_S) -> None:
             if not finite(proc[key]) or proc[key] < 0:
                 raise ProfileError(f"{where}: {key!r} must be a "
                                    f"non-negative number")
+        if not isinstance(idle, dict):
+            raise ProfileError(f"{where}: idle_by_cause must be an object")
         if sorted(idle) != sorted(IDLE_CAUSES):
             raise ProfileError(f"{where}: idle causes {sorted(idle)}")
         if not all(finite(v) and v >= 0 for v in idle.values()):

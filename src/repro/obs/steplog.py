@@ -254,12 +254,14 @@ def load_steps(path: str) -> dict:
     """Read and structurally validate a (possibly gzipped)
     ``repro.steps/v1`` file."""
     from repro.obs.export import open_text
+    from repro.obs.validate import validate_doc
     try:
         with open_text(path) as f:
             doc = json.load(f)
     except (OSError, ValueError) as exc:
         raise StepLogError(f"cannot read step log {path!r}: {exc}") from None
-    validate_steps_doc(doc)
+    check_schema(doc, STEPS_SCHEMA, StepLogError)
+    validate_doc(doc)
     return doc
 
 
@@ -285,7 +287,11 @@ def validate_steps_doc(doc: dict) -> None:
             raise StepLogError(f"{where}: step window must be finite")
         if end < start:
             raise StepLogError(f"{where}: end before start")
-        span = sum(it["end_s"] - it["start_s"] for it in step["items"])
+        span = 0.0
+        for j, item in enumerate(step["items"]):
+            require_keys(item, ("start_s", "end_s"), f"{where}: items[{j}]",
+                         StepLogError)
+            span += item["end_s"] - item["start_s"]
         if abs(span - (end - start)) > 1e-9:
             raise StepLogError(f"{where}: items span {span!r} != step "
                                f"window {end - start!r}")
@@ -302,6 +308,8 @@ def validate_steps_doc(doc: dict) -> None:
         where = f"requests[{i}]"
         require_keys(req, ("request_id", "tier", "status", "arrival_s",
                            "start_s", "finish_s", "breakdown"), where,
+                     StepLogError)
+        require_keys(req["breakdown"], (), f"{where}: breakdown",
                      StepLogError)
         for key in ("queue_s", "admission_s", "retry_s", "prefill_s",
                     "decode_s", "turnaround_s"):

@@ -80,15 +80,25 @@ VALIDATORS: Dict[str, Callable[[dict], None]] = {
 
 def validate_doc(doc: dict) -> str:
     """Validate a schema-stamped document with its schema's validator;
-    returns the schema.  Raises a :class:`~repro.errors.ReproError`."""
+    returns the schema.  Raises a :class:`~repro.errors.ReproError`,
+    also for a record of the wrong shape that a validator reads without
+    a check of its own (a missing key, a list for an object, a string
+    for a number)."""
     if not isinstance(doc, dict) or "schema" not in doc:
         raise SchemaError("document has no 'schema' key")
-    validator = VALIDATORS.get(doc["schema"])
+    schema = doc["schema"]
+    validator = VALIDATORS.get(schema) if isinstance(schema, str) else None
     if validator is None:
-        raise SchemaError(f"unknown schema {doc['schema']!r} (expected "
+        raise SchemaError(f"unknown schema {schema!r} (expected "
                           f"one of {sorted(schemas.SCHEMA_TABLE)})")
-    validator(doc)
-    return doc["schema"]
+    try:
+        validator(doc)
+    except KeyError as exc:
+        raise SchemaError(f"malformed {schema} document: missing key "
+                          f"{exc}") from None
+    except (IndexError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"malformed {schema} document: {exc}") from None
+    return schema
 
 
 __all__ = [

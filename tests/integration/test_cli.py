@@ -239,6 +239,114 @@ class TestCliErrorPaths:
         assert "expected schema" in capsys.readouterr().err
 
 
+def _one_line_error(err, command):
+    """The error boundary's single ``llmnpu <cmd>: <msg>`` line."""
+    assert err.startswith(f"llmnpu {command}: "), err
+    assert err.count("\n") == 1, err
+    return err
+
+
+class TestUsageErrorsExitTwo:
+    @pytest.mark.parametrize("argv, expect", [
+        (["whatif", "--speedup", "nosuch=2"], "matches no captured task"),
+        (["whatif", "--reassign", "nosuch=gpu"], "matches no captured task"),
+        (["infer", "--prompt-tokens", "0"], "prompt_tokens must be positive"),
+        (["infer", "--prompt-tokens", "100000"], "graph was prepared for"),
+        (["profile", "--prompt-tokens", "0"],
+         "prompt_tokens must be positive"),
+        (["critpath", "--prompt-tokens", "0"],
+         "prompt_tokens must be positive"),
+    ], ids=" ".join)
+    def test_one_line_and_exit_two(self, argv, expect, capsys):
+        assert main(argv) == 2
+        assert expect in _one_line_error(capsys.readouterr().err, argv[0])
+
+
+class TestDiffMalformedInput:
+    @pytest.fixture(scope="class")
+    def critpath(self):
+        from repro.core import LlmNpuEngine
+        from repro.obs import critical_path, critpath_doc
+        engine = LlmNpuEngine.build("Qwen1.5-1.8B", "Redmi K70 Pro")
+        timeline = engine.infer(64, 2).timeline(
+            engine.config.decode_backend)
+        return critpath_doc([critical_path(timeline, source="request 1")],
+                            source="run")
+
+    def _write(self, tmp_path, name, doc):
+        import json
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _broken_steps(self):
+        from repro.eval import golden_steplog
+        doc = golden_steplog(seed=42, batched=True).to_dict()
+        del doc["steps"][0]["items"][0]["end_s"]
+        return doc
+
+    def test_self_diff_is_identical(self, critpath, tmp_path, capsys):
+        path = self._write(tmp_path, "run.json", critpath)
+        assert main(["diff", path, path]) == 0
+
+    def test_critpath_without_paths(self, critpath, tmp_path, capsys):
+        import copy
+        good = self._write(tmp_path, "good.json", critpath)
+        doc = copy.deepcopy(critpath)
+        del doc["paths"]
+        bad = self._write(tmp_path, "bad.json", doc)
+        assert main(["diff", good, bad]) == 2
+        err = _one_line_error(capsys.readouterr().err, "diff")
+        assert err.startswith(f"llmnpu diff: {bad}: ")
+        assert "missing 'paths'" in err
+
+    def test_broken_segment_telescoping(self, critpath, tmp_path, capsys):
+        import copy
+        doc = copy.deepcopy(critpath)
+        doc["paths"][0]["segments"][1]["start_s"] += 1e-6
+        doc["paths"][0]["segments"][1]["end_s"] += 1e-6
+        bad = self._write(tmp_path, "bad.json", doc)
+        good = self._write(tmp_path, "good.json", critpath)
+        assert main(["diff", bad, good]) == 2
+        err = _one_line_error(capsys.readouterr().err, "diff")
+        assert err.startswith(f"llmnpu diff: {bad}: ")
+        assert "!= previous end" in err
+
+    def test_steps_with_malformed_item(self, tmp_path, capsys):
+        bad = self._write(tmp_path, "steps.json", self._broken_steps())
+        assert main(["diff", bad, bad]) == 2
+        err = _one_line_error(capsys.readouterr().err, "diff")
+        assert "steps[0]: items[0]: missing 'end_s'" in err
+
+    def test_critpath_with_non_numeric_sum(self, critpath, tmp_path,
+                                           capsys):
+        import copy
+        doc = copy.deepcopy(critpath)
+        doc["paths"][0]["wait_s"] = "long"
+        bad = self._write(tmp_path, "bad.json", doc)
+        assert main(["diff", bad, bad]) == 2
+        err = _one_line_error(capsys.readouterr().err, "diff")
+        assert "malformed repro.critpath/v1 document" in err
+
+    def test_schema_script_reports_the_same_files(self, critpath,
+                                                  tmp_path):
+        import copy
+        import os
+        import subprocess
+        import sys
+        doc = copy.deepcopy(critpath)
+        doc["paths"][0]["by_proc"] = []
+        script = os.path.join(os.path.dirname(__file__), "..", "..",
+                              "scripts", "check_trace_schema.py")
+        for bad in (self._write(tmp_path, "cp.json", doc),
+                    self._write(tmp_path, "st.json", self._broken_steps())):
+            result = subprocess.run([sys.executable, script, bad],
+                                    capture_output=True, text=True)
+            assert result.returncode == 1
+            assert result.stderr.startswith(f"FAIL: {bad}: ")
+            assert "Traceback" not in result.stderr
+
+
 class TestExplainCommand:
     def test_table_mode(self, capsys):
         assert main(["explain", "--batched"]) == 0

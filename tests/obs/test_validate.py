@@ -297,12 +297,19 @@ def _diff_seg(key, value):
     return _set("requests", 0, "segments", 0, key, value)
 
 
+def _wrong_residual_field(doc):
+    """``residual_s`` holding the observed e2e delta, not the residual."""
+    req = doc["requests"][0]
+    req["residual_s"] = req["delta_s"]
+
+
 def _e2e_moves_identically(doc):
     """A self-diff where request 0's e2e and first segment both grew by
     1 s: everything telescopes, but the diff still says identical."""
     req = doc["requests"][0]
     req["new_e2e_s"] += 1.0
     req["delta_s"] += 1.0
+    req["attributed_s"] += 1.0
     seg = req["segments"][0]
     seg["new_s"] += 1.0
     seg["delta_s"] += 1.0
@@ -387,6 +394,8 @@ CASES = [
      _set("processors", 0, "matmul_ops", -1.0)),
     ("repro.profile/v1", "idle causes",
      _delete("processors", 0, "idle_by_cause", "sync_wait")),
+    ("repro.profile/v1", "processors[0]: idle_by_cause must be an object",
+     _set("processors", 0, "idle_by_cause", ["sync_wait"])),
     ("repro.profile/v1", "idle seconds must be non-negative numbers",
      _do(_set("processors", 0, "idle_by_cause", "graph_build", -1.0),
          _add("processors", 0, "idle_by_cause", "starvation", 1.0))),
@@ -553,6 +562,12 @@ CASES = [
      _delete("requests", 0, "finish_s")),
     ("repro.steps/v1", "breakdown missing numeric 'decode_s'",
      _delete("requests", 0, "breakdown", "decode_s")),
+    ("repro.steps/v1", "steps[0]: items[0]: missing 'end_s'",
+     _delete("steps", 0, "items", 0, "end_s")),
+    ("repro.steps/v1", "requests[0]: breakdown: must be an object",
+     _set("requests", 0, "breakdown", [])),
+    ("repro.steps/v1", "malformed repro.steps/v1 document",
+     _set("steps", 0, "items", 0, "end_s", "late")),
     # repro.critpath/v1: the document
     ("repro.critpath/v1", "expected schema 'repro.critpath/v1'", None),
     ("repro.critpath/v1", "critpath doc: missing 'totals'",
@@ -603,6 +618,12 @@ CASES = [
      _add("paths", 0, "by_proc", "npu", 1e-6)),
     ("repro.critpath/v1", "by_tag does not sum to on-path work",
      _add("paths", 0, "by_tag", "decode", 1e-6)),
+    ("repro.critpath/v1", "work_s does not sum to on-path work",
+     _set("paths", 0, "work_s", None)),
+    ("repro.critpath/v1", "by_proc must be an object",
+     _set("paths", 0, "by_proc", [])),
+    ("repro.critpath/v1", "malformed repro.critpath/v1 document",
+     _set("paths", 0, "wait_s", "long")),
     ("repro.critpath/v1", "slack[0]: missing 'slack_s'",
      _delete("paths", 0, "slack", 0, "slack_s")),
     ("repro.critpath/v1", "negative slack",
@@ -639,8 +660,20 @@ CASES = [
     ("repro.diff/v1", "do not telescope to the observed e2e delta",
      _do(_add("requests", 0, "new_e2e_s", 1e-6),
          _add("requests", 0, "delta_s", 1e-6))),
+    ("repro.diff/v1", "requests[0]: missing 'attributed_s'",
+     _delete("requests", 0, "attributed_s")),
+    ("repro.diff/v1", "requests[0]: missing 'residual_s'",
+     _delete("requests", 0, "residual_s")),
+    ("repro.diff/v1", "attributed_s != sum of segment deltas",
+     _add("requests", 0, "attributed_s", 1e-6)),
+    ("repro.diff/v1", "residual_s != attributed - observed e2e delta",
+     _add("requests", 0, "residual_s", 1e-6)),
+    ("repro.diff/v1", "residual_s != attributed - observed e2e delta",
+     _wrong_residual_field),
     ("repro.diff/v1", "totals: e2e delta",
      _add("e2e", "delta_s", 1e-3)),
+    ("repro.diff/v1", "malformed repro.diff/v1 document: missing key "
+     "'delta_s'", _delete("e2e", "delta_s")),
     ("repro.diff/v1", "diff marked identical",
      _set("identical", True)),
     ("diff-self", "diff marked identical",
@@ -669,6 +702,10 @@ class TestRegistry:
         for doc in ({}, [], {"kind": "critpath"}):
             with pytest.raises(SchemaError, match="no 'schema' key"):
                 validate_doc(doc)
+
+    def test_rejects_a_non_string_stamp(self):
+        with pytest.raises(SchemaError, match="unknown schema"):
+            validate_doc({"schema": ["repro.steps/v1"]})
 
     @pytest.mark.parametrize("kind", sorted(SCHEMA_TABLE) + ["diff-self",
                                                             "chrome",
