@@ -15,207 +15,112 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-snapshot() {
-    python -c 'from repro.eval import service_golden_snapshot
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# same A B MESSAGE: fail with MESSAGE unless files A and B are
+# byte-identical.
+same() {
+    if ! cmp -s "$1" "$2"; then
+        diff -u "$1" "$2" | head -n 40 >&2 || true
+        echo "FAIL: $3" >&2
+        exit 1
+    fi
+}
+
+# twice NAME WHAT CODE: run CODE in two fresh interpreters, writing
+# $tmp/NAME and $tmp/NAME.again, and require byte-identical output.
+twice() {
+    python -c "$3" > "$tmp/$1"
+    python -c "$3" > "$tmp/$1.again"
+    same "$tmp/$1" "$tmp/$1.again" "consecutive $2 differ"
+}
+
+twice snapshot "golden service runs" \
+    'from repro.eval import service_golden_snapshot
 print(service_golden_snapshot(seed=42))'
-}
-
-trace() {
-    python -c 'from repro.eval import service_golden_trace
-print(service_golden_trace(seed=42))'
-}
-
-profile() {
-    python -c 'from repro.eval import golden_profile_json
-print(golden_profile_json(seed=42))'
-}
-
-out1=$(mktemp)
-out2=$(mktemp)
-trace1=$(mktemp)
-trace2=$(mktemp)
-prof1=$(mktemp)
-prof2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2"' EXIT
-
-snapshot > "$out1"
-snapshot > "$out2"
-
-if ! diff -u "$out1" "$out2"; then
-    echo "FAIL: consecutive golden service runs differ" >&2
-    exit 1
-fi
 echo "OK: golden service report is byte-identical across runs" \
-     "($(wc -l < "$out1") lines)"
+     "($(wc -l < "$tmp/snapshot") lines)"
 
-trace > "$trace1"
-trace > "$trace2"
-
-if ! cmp -s "$trace1" "$trace2"; then
-    echo "FAIL: consecutive golden trace exports differ" >&2
-    exit 1
-fi
+twice trace "golden trace exports" \
+    'from repro.eval import service_golden_trace
+print(service_golden_trace(seed=42))'
 echo "OK: golden unified trace is byte-identical across runs" \
-     "($(wc -c < "$trace1") bytes)"
+     "($(wc -c < "$tmp/trace") bytes)"
 
 # The profile report (repro.profile/v1) carries no timestamps and no
 # environment capture, so the full attribution — busy/idle seconds,
 # idle-cause classification, roofline numerators, per-event energy,
 # flamegraph weights — must also serialize to identical bytes.
-profile > "$prof1"
-profile > "$prof2"
-
-if ! cmp -s "$prof1" "$prof2"; then
-    echo "FAIL: consecutive golden profile reports differ" >&2
-    exit 1
-fi
-python scripts/check_trace_schema.py "$prof1"
+twice profile "golden profile reports" \
+    'from repro.eval import golden_profile_json
+print(golden_profile_json(seed=42))'
+python scripts/check_trace_schema.py "$tmp/profile"
 echo "OK: golden profile report is byte-identical across runs" \
-     "($(wc -c < "$prof1") bytes)"
+     "($(wc -c < "$tmp/profile") bytes)"
 
 # The fleet SLO report (repro.fleet/v1) rolls per-device monitors into
 # merged quantile sketches, compliance counts, and burn-rate incident
 # timelines — all sim-clock-stamped, so it too must be a pure function
 # of the seed.
-fleet() {
-    python -c 'from repro.eval import fleet_golden_json
+twice fleet "fleet SLO reports" \
+    'from repro.eval import fleet_golden_json
 print(fleet_golden_json(seed=42))'
-}
-
-fleet1=$(mktemp)
-fleet2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2"' EXIT
-
-fleet > "$fleet1"
-fleet > "$fleet2"
-
-if ! cmp -s "$fleet1" "$fleet2"; then
-    echo "FAIL: consecutive fleet SLO reports differ" >&2
-    exit 1
-fi
-python scripts/check_trace_schema.py "$fleet1"
+python scripts/check_trace_schema.py "$tmp/fleet"
 echo "OK: fleet SLO report is byte-identical across runs" \
-     "($(wc -c < "$fleet1") bytes)"
+     "($(wc -c < "$tmp/fleet") bytes)"
 
 # Step-loop equivalence: the degenerate batching config (unbounded
 # batch, concurrency 1) must route through the per-request path and
 # reproduce the golden snapshot, trace, and profile byte-for-byte —
 # the regression gate for the continuous-batching refactor.
-seq_snapshot() {
-    python -c 'from repro.core import BatchConfig
-from repro.eval import service_golden_snapshot
-print(service_golden_snapshot(
-    seed=42, batching=BatchConfig(max_concurrency=1)))'
-}
-
-seq_trace() {
-    python -c 'from repro.core import BatchConfig
-from repro.eval import service_golden_trace
-print(service_golden_trace(
-    seed=42, batching=BatchConfig(max_concurrency=1)))'
-}
-
-seq_profile() {
-    python -c 'from repro.core import BatchConfig
-from repro.eval import golden_profile_json
-print(golden_profile_json(
-    seed=42, batching=BatchConfig(max_concurrency=1)))'
-}
-
-seq1=$(mktemp)
-seq2=$(mktemp)
-seq3=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3"' EXIT
-
-seq_snapshot > "$seq1"
-if ! diff -u "$out1" "$seq1"; then
-    echo "FAIL: sequential batching config diverges from the" \
-         "per-request golden snapshot" >&2
-    exit 1
-fi
-seq_trace > "$seq2"
-if ! cmp -s "$trace1" "$seq2"; then
-    echo "FAIL: sequential batching config diverges from the" \
-         "per-request golden trace" >&2
-    exit 1
-fi
-seq_profile > "$seq3"
-if ! cmp -s "$prof1" "$seq3"; then
-    echo "FAIL: sequential batching config diverges from the" \
-         "per-request golden profile" >&2
-    exit 1
-fi
+for kind in snapshot trace profile; do
+    case $kind in
+        snapshot) fn=service_golden_snapshot ;;
+        trace) fn=service_golden_trace ;;
+        profile) fn=golden_profile_json ;;
+    esac
+    python -c "from repro.core import BatchConfig
+from repro.eval import $fn
+print($fn(seed=42, batching=BatchConfig(max_concurrency=1)))" \
+        > "$tmp/seq.$kind"
+    same "$tmp/$kind" "$tmp/seq.$kind" \
+        "sequential batching config diverges from the per-request golden $kind"
+done
 echo "OK: sequential batching config reproduces the per-request" \
      "golden snapshot, trace, and profile byte-for-byte"
 
 # The step loop proper is deterministic too: the batching snapshot
 # (per-request timings + per-step batch digests + goodput) at two knob
 # settings must be byte-identical across independent processes.
-batching() {
-    python -c "from repro.eval import service_batching_golden_snapshot
-print(service_batching_golden_snapshot(seed=42, prefill_priority=$1))"
-}
-
 for p in 0.0 1.0; do
-    b1=$(mktemp)
-    b2=$(mktemp)
-    batching "$p" > "$b1"
-    batching "$p" > "$b2"
-    if ! cmp -s "$b1" "$b2"; then
-        echo "FAIL: consecutive step-loop runs differ" \
-             "(prefill_priority=$p)" >&2
-        rm -f "$b1" "$b2"
-        exit 1
-    fi
+    twice "batching.$p" "step-loop runs (prefill_priority=$p)" \
+        "from repro.eval import service_batching_golden_snapshot
+print(service_batching_golden_snapshot(seed=42, prefill_priority=$p))"
     echo "OK: step-loop batching snapshot is byte-identical across" \
-         "runs (prefill_priority=$p, $(wc -l < "$b1") lines)"
-    rm -f "$b1" "$b2"
+         "runs (prefill_priority=$p, $(wc -l < "$tmp/batching.$p") lines)"
 done
 
 # The scheduler step log (repro.steps/v1) — queue snapshots, typed
 # decisions, embedded breakdowns — is itself a golden artifact: two
 # independent evaluations must serialize to identical bytes, and the
 # schema checker must accept it.
-steplog() {
-    python -c 'from repro.eval import golden_steplog_json
+twice steps "golden step logs" \
+    'from repro.eval import golden_steplog_json
 print(golden_steplog_json(seed=42, batched=True))'
-}
-
-steps1=$(mktemp)
-steps2=$(mktemp)
-noop1=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
-     "$noop1"' EXIT
-
-steplog > "$steps1"
-steplog > "$steps2"
-
-if ! cmp -s "$steps1" "$steps2"; then
-    echo "FAIL: consecutive golden step logs differ" >&2
-    exit 1
-fi
-python scripts/check_trace_schema.py "$steps1"
+python scripts/check_trace_schema.py "$tmp/steps"
 echo "OK: golden step log is byte-identical across runs" \
-     "($(wc -c < "$steps1") bytes)"
+     "($(wc -c < "$tmp/steps") bytes)"
 
 # Observation is a no-op: the golden snapshot with a StepLogger
 # attached (decision emission enabled) must equal the unobserved one
 # byte-for-byte.
-observed_snapshot() {
-    python -c 'from repro.eval import service_golden_snapshot
+python -c 'from repro.eval import service_golden_snapshot
 from repro.obs import StepLogger
-print(service_golden_snapshot(seed=42, steplog=StepLogger()))'
-}
-
-observed_snapshot > "$noop1"
-if ! diff -u "$out1" "$noop1"; then
-    echo "FAIL: attaching a StepLogger changed the golden snapshot" \
-         "(observation must be a no-op)" >&2
-    exit 1
-fi
+print(service_golden_snapshot(seed=42, steplog=StepLogger()))' \
+    > "$tmp/observed"
+same "$tmp/snapshot" "$tmp/observed" \
+    "attaching a StepLogger changed the golden snapshot (observation must be a no-op)"
 echo "OK: golden snapshot is unchanged with step logging attached" \
      "(observation is a no-op)"
 
@@ -223,32 +128,19 @@ echo "OK: golden snapshot is unchanged with step logging attached" \
 # pipelines across a worker pool (and any submission order of the same
 # specs) must reproduce the sequential report byte-for-byte, on both
 # the legacy 3-device golden and a splitmix-seeded fleet.
-par1=$(mktemp)
-par2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
-     "$noop1" "$par1" "$par2"' EXIT
-
 python -c 'from repro.eval import fleet_golden_json
-print(fleet_golden_json(seed=42, workers=4))' > "$par1"
-if ! cmp -s "$fleet1" "$par1"; then
-    echo "FAIL: parallel fleet report (workers=4) differs from" \
-         "sequential" >&2
-    exit 1
-fi
-
-splitmix_fleet() {
+print(fleet_golden_json(seed=42, workers=4))' > "$tmp/fleet.parallel"
+same "$tmp/fleet" "$tmp/fleet.parallel" \
+    "parallel fleet report (workers=4) differs from sequential"
+for workers in 1 3; do
     python -c "import json
 from repro.eval import default_fleet, fleet_report
 specs = default_fleet(n_devices=4, seed=42)
-print(json.dumps(fleet_report(specs=specs, seed=42, workers=$1)))"
-}
-
-splitmix_fleet 1 > "$par2"
-splitmix_fleet 3 | cmp -s "$par2" - || {
-    echo "FAIL: splitmix fleet report changes with worker count" >&2
-    exit 1
-}
+print(json.dumps(fleet_report(specs=specs, seed=42, workers=$workers)))" \
+        > "$tmp/splitmix.$workers"
+done
+same "$tmp/splitmix.1" "$tmp/splitmix.3" \
+    "splitmix fleet report changes with worker count"
 echo "OK: parallel fleet fan-out is byte-identical to sequential" \
      "(legacy golden workers=4, splitmix workers=3)"
 
@@ -257,51 +149,36 @@ echo "OK: parallel fleet fan-out is byte-identical to sequential" \
 # queueing facts, so it too must be a pure function of the seed — and
 # the schema checker enforces per-path conservation (sum of waits +
 # durations == e2e within 1e-9 s) on it.
-critpath() {
-    python -c 'from repro.eval import golden_critpath_json
+twice critpath "golden critical-path documents" \
+    'from repro.eval import golden_critpath_json
 print(golden_critpath_json(seed=42))'
-}
-
-cp1=$(mktemp)
-cp2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
-     "$noop1" "$par1" "$par2" "$cp1" "$cp2"' EXIT
-
-critpath > "$cp1"
-critpath > "$cp2"
-
-if ! cmp -s "$cp1" "$cp2"; then
-    echo "FAIL: consecutive golden critical-path documents differ" >&2
-    exit 1
-fi
-python scripts/check_trace_schema.py "$cp1"
+python scripts/check_trace_schema.py "$tmp/critpath"
 echo "OK: golden critical-path document is byte-identical across runs" \
-     "($(wc -c < "$cp1") bytes)"
+     "($(wc -c < "$tmp/critpath") bytes)"
 
-# The what-if estimator's replay loop must agree with the simulator it
-# models: predicted TTFT/e2e for representative perturbations of the
-# reference engine run match a real re-simulation within 1e-9 s.
+# What-if predictions are simulator runs on the perturbed DAG, so check
+# them against independent measurements: the captured baseline equals
+# the engine's own inference, and a serial-DMA prediction equals the
+# rebuilt engine's prefill within 1e-9 s.
 python -c '
-from repro.obs import (WHATIF_TOL_S, OperatorSpeedup, ProcessorReassign,
-                       capture_engine_run, predict, resimulate)
 from repro.core.engine import LlmNpuEngine
+from repro.hw.dma import DmaConfig
+from repro.obs import (WHATIF_TOL_S, capture_engine_run,
+                       dma_overlap_perturbation, predict)
 
 engine = LlmNpuEngine.build("Qwen1.5-1.8B", "Redmi K70 Pro")
 run = capture_engine_run(engine, 512, output_tokens=4)
-for perts in ([OperatorSpeedup("sg1", 2.0)],
-              [ProcessorReassign("sg2.float", "gpu")],
-              [OperatorSpeedup("decode", 1.5),
-               ProcessorReassign("sg4.float", "gpu")]):
-    pred = predict(run, perts)
-    actual = resimulate(run, perts)
-    for key, a, b in (("ttft", pred.predicted.ttft_s, actual.ttft_s),
-                      ("e2e", pred.predicted.e2e_s, actual.e2e_s),
-                      ("itl", pred.predicted.itl_s, actual.itl_s)):
-        err = abs(a - b)
-        assert err <= WHATIF_TOL_S, (key, perts, err)
-print("OK: what-if predictions match re-simulation within",
-      WHATIF_TOL_S, "s on 3 perturbation sets")
+report = engine.infer(512, output_tokens=4)
+baseline = predict(run, []).baseline
+assert baseline.ttft_s == report.ttft_s, (baseline, report.ttft_s)
+assert baseline.e2e_s == report.e2e_latency_s, \
+    (baseline, report.e2e_latency_s)
+pert, clone = dma_overlap_perturbation(engine, 512, DmaConfig(buffers=1))
+predicted = predict(run, [pert]).predicted.ttft_s
+measured = clone.prefill(512).latency_s
+assert abs(predicted - measured) <= WHATIF_TOL_S, (predicted, measured)
+print("OK: what-if baseline equals engine.infer, and the serial-DMA",
+      "prediction matches the rebuilt engine within", WHATIF_TOL_S, "s")
 '
 
 # The vectorized simulator fast path must make exactly the choices of
@@ -326,25 +203,10 @@ print("OK: vectorized simulator matches the reference on",
 # operator as the top contributor, and telescope its per-segment deltas
 # to the observed e2e delta (the schema checker enforces the residual
 # bound per aligned request).
-diffpair() {
-    python -c 'from repro.eval import golden_diff_json
+twice diff "injected-slowdown diffs" \
+    'from repro.eval import golden_diff_json
 print(golden_diff_json())'
-}
-
-diff1=$(mktemp)
-diff2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
-     "$noop1" "$par1" "$par2" "$cp1" "$cp2" "$diff1" "$diff2"' EXIT
-
-diffpair > "$diff1"
-diffpair > "$diff2"
-
-if ! cmp -s "$diff1" "$diff2"; then
-    echo "FAIL: consecutive injected-slowdown diffs differ" >&2
-    exit 1
-fi
-python scripts/check_trace_schema.py "$diff1"
+python scripts/check_trace_schema.py "$tmp/diff"
 python -c '
 import json, sys
 from repro.eval import INJECTED_TAG, injected_slowdown_docs
@@ -364,22 +226,15 @@ assert self_doc["e2e"]["delta_s"] == 0.0
 print(f"OK: injected slowdown attributes to {INJECTED_TAG!r} "
       f"(+{top['\''delta_s'\'']*1e3:.1f} ms, worst residual {worst:.3e} s) "
       f"and the self-diff is empty")
-' "$diff1"
+' "$tmp/diff"
 echo "OK: injected-slowdown diff is byte-identical across runs" \
-     "($(wc -c < "$diff1") bytes)"
+     "($(wc -c < "$tmp/diff") bytes)"
 
 # The prefill memo is process-wide, so a run's artifacts must not
 # depend on what the interpreter simulated before.  Warm the memo with a
 # fleet of a different seed, then emit the golden service snapshot and
 # critical-path document in that same interpreter: both must equal the
 # cold outputs above byte-for-byte.
-warm1=$(mktemp)
-warm2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
-     "$noop1" "$par1" "$par2" "$cp1" "$cp2" "$diff1" "$diff2" \
-     "$warm1" "$warm2"' EXIT
-
 python -c '
 import sys
 from repro.core.pipeline import prefill_memo_stats
@@ -394,15 +249,10 @@ with open(sys.argv[1], "w") as f:
 with open(sys.argv[2], "w") as f:
     print(golden_critpath_json(seed=42), file=f)
 assert prefill_memo_stats()["hits"] > warm["hits"], "memo never hit"
-' "$warm1" "$warm2"
-if ! diff -u "$out1" "$warm1"; then
-    echo "FAIL: golden snapshot differs after warming the prefill memo" >&2
-    exit 1
-fi
-if ! cmp -s "$cp1" "$warm2"; then
-    echo "FAIL: golden critical-path document differs after warming" \
-         "the prefill memo" >&2
-    exit 1
-fi
+' "$tmp/warm.snapshot" "$tmp/warm.critpath"
+same "$tmp/snapshot" "$tmp/warm.snapshot" \
+    "golden snapshot differs after warming the prefill memo"
+same "$tmp/critpath" "$tmp/warm.critpath" \
+    "golden critical-path document differs after warming the prefill memo"
 echo "OK: golden snapshot and critical-path document are byte-identical" \
      "with a warm prefill memo"

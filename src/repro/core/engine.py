@@ -18,7 +18,7 @@ expose the ablation ladder of Fig. 19: naive NPU offload -> +chunk ->
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.decode import DecodeOptions, decode_latency_s
 from repro.core.hot_channels import HotChannelPolicy, shadow_weight_bytes
@@ -31,7 +31,8 @@ from repro.core.pipeline import (
 from repro.core.residency import NpuResidencyPlan, plan_npu_residency
 from repro.core.results import InferenceReport, PrefillReport
 from repro.errors import EngineError
-from repro.graph.builder import BuildOptions, GraphBuilder, ShadowProfile
+from repro.graph.builder import (BuildOptions, ChunkPlan, GraphBuilder,
+                                 ShadowProfile)
 from repro.graph.chunk import ChunkSharingGraph
 from repro.graph.memory_plan import plan_chunk_sharing
 from repro.hw.sim import FaultInjector
@@ -115,16 +116,22 @@ class LlmNpuEngine:
         self._metrics = None
         cfg = self.config
 
-        self.build_options = BuildOptions(
+        self.shadow_profiles = self._make_shadow_profiles()
+        self._prepare_graphs(BuildOptions(
             float_backend=cfg.float_backend,
             per_group=(cfg.quant_mode == "per-group"),
             group_size=cfg.group_size,
             equivalent_shapes=cfg.equivalent_shapes,
-        )
-        self.builder = GraphBuilder(model, device, self.build_options)
-        self.shadow_profiles = self._make_shadow_profiles()
+        ))
+
+    def _prepare_graphs(self, build_options: BuildOptions) -> None:
+        """(Re)build the graph builder and the chunk-sharing graphs
+        (§3.2) with ``build_options``."""
+        cfg = self.config
+        self.build_options = build_options
+        self.builder = GraphBuilder(self.model, self.device, build_options)
         max_chunks = min(cfg.max_chunks,
-                         max(1, model.max_context // cfg.chunk_len))
+                         max(1, self.model.max_context // cfg.chunk_len))
         self.graph = ChunkSharingGraph(
             self.builder, cfg.chunk_len, max_chunks,
             self.shadow_profiles if cfg.quant_mode == "shadow" else None,
@@ -225,36 +232,46 @@ class LlmNpuEngine:
             raise EngineError("cached_tokens must be non-negative")
         cfg = self.config
         include_shadow = cfg.quant_mode == "shadow"
-        if cfg.chunking:
-            plans = self.graph.plans_for_prompt(prompt_tokens,
-                                                cached_tokens)
-            key = (self.graph.fingerprint, cfg.float_backend, cfg.policy,
-                   include_shadow, cfg.shadow_backend,
-                   plans[0].chunk_index, len(plans))
-            schedule, hit = PREFILL_MEMO.lookup(key, lambda: simulate_prefill(
-                plans, float_backend=cfg.float_backend, policy=cfg.policy,
+        plans, extra_latency_s = self._prefill_plans(prompt_tokens,
+                                                     cached_tokens)
+        if not cfg.chunking:
+            return run_prefill(
+                plans, self.device, prompt_tokens,
+                float_backend=cfg.float_backend,
+                policy=cfg.policy,
                 include_shadow=include_shadow,
+                extra_latency_s=extra_latency_s,
                 shadow_backend=cfg.shadow_backend,
-            ))
-            if self._metrics is not None:
-                self._metrics.counter("prefill_memo_hits_total" if hit
-                                      else "prefill_memo_misses_total").inc()
-            return prefill_report(schedule, prompt_tokens)
+            )
+        key = (self.graph.fingerprint, cfg.float_backend, cfg.policy,
+               include_shadow, cfg.shadow_backend,
+               plans[0].chunk_index, len(plans))
+        schedule, hit = PREFILL_MEMO.lookup(key, lambda: simulate_prefill(
+            plans, float_backend=cfg.float_backend, policy=cfg.policy,
+            include_shadow=include_shadow,
+            shadow_backend=cfg.shadow_backend,
+        ))
+        if self._metrics is not None:
+            self._metrics.counter("prefill_memo_hits_total" if hit
+                                  else "prefill_memo_misses_total").inc()
+        return prefill_report(schedule, prompt_tokens)
+
+    def _prefill_plans(self, prompt_tokens: int, cached_tokens: int = 0
+                       ) -> Tuple[List[ChunkPlan], float]:
+        """``(plans, extra_latency_s)`` of one prefill: the prepared
+        chunk graphs it runs, and the serial per-prompt preparation it
+        pays first (non-zero only without chunking)."""
+        if self.config.chunking:
+            return self.graph.plans_for_prompt(prompt_tokens,
+                                               cached_tokens), 0.0
         # Fig. 7(a): one monolithic prompt graph, re-built and
         # re-optimized for this prompt length (the naive NPU baseline).
-        rows = max(32, prompt_tokens)
+        shadow = self.config.quant_mode == "shadow"
         plans = [self.builder.build_chunk(
-            0, rows,
-            self.shadow_profiles if include_shadow else None,
+            0, max(32, prompt_tokens),
+            self.shadow_profiles if shadow else None,
         )]
-        return run_prefill(
-            plans, self.device, prompt_tokens,
-            float_backend=cfg.float_backend,
-            policy=cfg.policy,
-            include_shadow=include_shadow,
-            extra_latency_s=self.graph.naive_per_prompt_preparation_s(),
-            shadow_backend=cfg.shadow_backend,
-        )
+        return plans, self.graph.naive_per_prompt_preparation_s()
 
     def decode(self, prompt_tokens: int, output_tokens: int) -> float:
         """Decode latency; ``prompt_tokens`` is the total KV length."""

@@ -19,7 +19,7 @@ from repro.core.scheduler import get_policy
 from repro.errors import EngineError
 from repro.graph.builder import ChunkPlan
 from repro.graph.chunk import padded_tokens
-from repro.hw.sim import SchedulingPolicy, Simulator
+from repro.hw.sim import SchedulingPolicy, Simulator, Task
 from repro.hw.soc import SocSpec
 from repro.hw.trace import Trace
 from repro.core.results import PrefillReport
@@ -40,14 +40,16 @@ class PrefillSchedule:
     npu_bubble_rate: float
 
 
-def simulate_prefill(
+def lower_prefill(
     plans: List[ChunkPlan],
     float_backend: str = "cpu",
     policy: str = "ooo",
     include_shadow: bool = True,
     shadow_backend: str = None,
-) -> PrefillSchedule:
-    """Lower ``plans`` to a task graph and simulate it."""
+) -> Tuple[List[Task], List[str], SchedulingPolicy]:
+    """Lower ``plans`` to ``(tasks, processors, policy)``: the task
+    graph, the processors in declaration order (NPU, float backend,
+    shadow backend) and the resolved scheduling policy."""
     if not plans:
         raise EngineError("a prefill needs at least one chunk plan")
     tasks = build_task_graph(plans, float_proc=float_backend,
@@ -57,9 +59,22 @@ def simulate_prefill(
     for proc in (float_backend, shadow_backend):
         if proc and proc not in processors:
             processors.append(proc)
-    simulator = Simulator(processors)
     scheduling = policy if isinstance(policy, SchedulingPolicy) else get_policy(policy)
-    trace = simulator.run(tasks, scheduling).freeze()
+    return tasks, processors, scheduling
+
+
+def simulate_prefill(
+    plans: List[ChunkPlan],
+    float_backend: str = "cpu",
+    policy: str = "ooo",
+    include_shadow: bool = True,
+    shadow_backend: str = None,
+) -> PrefillSchedule:
+    """Lower ``plans`` to a task graph and simulate it."""
+    tasks, processors, scheduling = lower_prefill(
+        plans, float_backend=float_backend, policy=policy,
+        include_shadow=include_shadow, shadow_backend=shadow_backend)
+    trace = Simulator(processors).run(tasks, scheduling).freeze()
     return PrefillSchedule(
         n_chunks=len(plans),
         chunk_len=plans[0].chunk_len,

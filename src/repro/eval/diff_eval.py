@@ -20,7 +20,6 @@ import json
 from typing import Optional, Tuple
 
 from repro.core import LlmNpuEngine
-from repro.core.scheduler import get_policy
 from repro.errors import EngineError
 from repro.eval.report import Table
 from repro.hw.sim import Simulator
@@ -58,22 +57,20 @@ def injected_slowdown_docs(
 
     Captures one engine inference's DAG, simulates it untouched, then
     re-simulates with every ``tag``-matching task slowed by
-    ``1/factor`` — the same replay path the what-if estimator verifies
-    against, so the pair differs *only* by the injected perturbation.
+    ``1/factor`` — the same simulator run the what-if estimator makes,
+    so the pair differs *only* by the injected perturbation.
     """
     cfg = get_model_config(model) if isinstance(model, str) else model
     dev = get_device(device) if isinstance(device, str) else device
     engine = LlmNpuEngine(cfg, dev)
     run = capture_engine_run(engine, prompt_len,
                              output_tokens=output_tokens)
-    policy = (get_policy(run.policy) if isinstance(run.policy, str)
-              else run.policy)
     source = f"prompt {prompt_len}"
     base_trace = Simulator(list(run.processors)).run(
-        list(run.tasks), policy)
+        list(run.tasks), run.policy)
     base_path = critical_path(base_trace, tasks=run.tasks, source=source)
     slowed = perturb_tasks(run, [OperatorSpeedup(tag=tag, factor=factor)])
-    slow_trace = Simulator(list(run.processors)).run(list(slowed), policy)
+    slow_trace = Simulator(list(run.processors)).run(list(slowed), run.policy)
     slow_path = critical_path(slow_trace, tasks=slowed, source=source)
     base_doc = critpath_doc(
         [base_path], source=f"baseline {cfg.name} prompt={prompt_len}")

@@ -6,37 +6,36 @@ have happened* if an operator ran 2x faster, a stage moved to another
 processor, or DMA/compute overlap were enabled.  It captures the exact
 task DAG an engine would schedule (prefill subgraphs, shadow and sync
 tasks, plus a synthetic decode chain gated on the prefill sinks),
-applies typed perturbations, and replays the schedule through an
-**independent** event loop that mirrors the simulator's dispatch
-semantics — processor declaration order, one task per newly-idle
-processor, co-terminating completion draining, policy tie-breaks.
-
-Because the replay is a separate implementation, validating its
-predictions against an actual re-simulation
-(:func:`resimulate` runs the perturbed DAG through the real
-:class:`~repro.hw.sim.Simulator`) is a meaningful check, and the tests
-pin agreement within 1e-9 s on golden workloads for all three
-perturbation classes: operator speedup, processor reassignment, and
-DMA overlap.  On simulated hardware the re-simulation is ground truth
-— a luxury profilers of physical devices never have.
+applies typed perturbations, and runs the perturbed DAG through the
+same :class:`~repro.hw.sim.Simulator` that produced the baseline.  A
+prediction is a simulator run, so on simulated hardware it is exact —
+a luxury profilers of physical devices never have.  The tests check
+each perturbation class against an independent measurement: the
+unperturbed run against ``engine.infer`` and the DMA prediction
+against a rebuilt engine's own prefill.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.hw.sim import SimContext, Simulator, Task
+from repro.hw.sim import SchedulingPolicy, Simulator, Task
 
-#: Maximum tolerated |prediction - re-simulation| the tests enforce.
+#: Maximum tolerated |prediction - measurement| the tests enforce.
 WHATIF_TOL_S = 1e-9
 
 
 class WhatIfError(ReproError):
-    """Capture, perturbation, or replay failure."""
+    """Capture or perturbation failure."""
+
+
+def _check_scale(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise WhatIfError(f"{name} must be finite and positive, "
+                          f"got {value!r}")
 
 
 def tag_matches(task_tag: str, pattern: str) -> bool:
@@ -53,9 +52,7 @@ class OperatorSpeedup:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.factor <= 0:
-            raise WhatIfError(f"speedup factor must be positive, "
-                              f"got {self.factor!r}")
+        _check_scale("speedup factor", self.factor)
 
     @property
     def label(self) -> str:
@@ -82,9 +79,7 @@ class ProcessorReassign:
     def __post_init__(self) -> None:
         if not self.proc:
             raise WhatIfError("reassignment needs a target processor")
-        if self.duration_scale <= 0:
-            raise WhatIfError(f"duration_scale must be positive, "
-                              f"got {self.duration_scale!r}")
+        _check_scale("duration_scale", self.duration_scale)
 
     @property
     def label(self) -> str:
@@ -129,7 +124,7 @@ class CapturedRun:
 
     source: str
     processors: Tuple[str, ...]
-    policy: str
+    policy: SchedulingPolicy
     tasks: Tuple[Task, ...]
     prefill_ids: frozenset
     extra_latency_s: float
@@ -139,7 +134,7 @@ class CapturedRun:
 
 @dataclass(frozen=True)
 class WhatIfOutcome:
-    """Predicted (or re-simulated) latency figures of one scenario."""
+    """Simulated latency figures of one scenario."""
 
     ttft_s: float
     itl_s: float
@@ -199,14 +194,15 @@ def capture_engine_run(engine, prompt_tokens: int,
     """Capture the DAG ``engine.infer(prompt_tokens, output_tokens)``
     would schedule, without running the scheduler.
 
-    Replicates the engine's plan construction exactly (chunk plans are
+    The prefill part is the engine's own plans lowered by
+    :func:`~repro.core.pipeline.lower_prefill` (chunk plans are
     memoized per builder, so latencies are bit-identical to what the
-    engine itself would see) and appends one decode task per output
-    token on the decode backend, gated on the prefill sinks — so decode
+    engine itself would see).  One decode task per output token follows
+    on the decode backend, gated on the prefill sinks — so decode
     perturbations move ITL and prefill perturbations move TTFT in one
-    unified replay.
+    simulation.
     """
-    from repro.core.dependency import build_task_graph
+    from repro.core.pipeline import lower_prefill
 
     if prompt_tokens <= 0:
         raise WhatIfError("prompt_tokens must be positive")
@@ -214,22 +210,11 @@ def capture_engine_run(engine, prompt_tokens: int,
         raise WhatIfError("output/cached token counts must be "
                           "non-negative")
     cfg = engine.config
-    include_shadow = cfg.quant_mode == "shadow"
-    if cfg.chunking:
-        plans = engine.graph.plans_for_prompt(prompt_tokens, cached_tokens)
-        extra = 0.0
-    else:
-        rows = max(32, prompt_tokens)
-        plans = [engine.builder.build_chunk(
-            0, rows, engine.shadow_profiles if include_shadow else None)]
-        extra = engine.graph.naive_per_prompt_preparation_s()
-    tasks = list(build_task_graph(plans, float_proc=cfg.float_backend,
-                                  include_shadow=include_shadow,
-                                  shadow_proc=cfg.shadow_backend))
-    processors = ["npu"]
-    for proc in (cfg.float_backend, cfg.shadow_backend):
-        if proc and proc not in processors:
-            processors.append(proc)
+    plans, extra = engine._prefill_plans(prompt_tokens, cached_tokens)
+    tasks, processors, policy = lower_prefill(
+        plans, float_backend=cfg.float_backend, policy=cfg.policy,
+        include_shadow=cfg.quant_mode == "shadow",
+        shadow_backend=cfg.shadow_backend)
     prefill_ids = frozenset(t.task_id for t in tasks)
     if output_tokens > 0:
         decode_s = engine.decode(cached_tokens + prompt_tokens,
@@ -253,133 +238,13 @@ def capture_engine_run(engine, prompt_tokens: int,
         source=f"{engine.model.name}/{engine.device.name} "
                f"prompt={prompt_tokens} out={output_tokens}",
         processors=tuple(processors),
-        policy=cfg.policy,
+        policy=policy,
         tasks=tuple(tasks),
         prefill_ids=prefill_ids,
         extra_latency_s=extra,
         output_tokens=output_tokens,
         decode_proc=cfg.decode_backend,
     )
-
-
-# -- the independent replay ---------------------------------------------------
-
-
-def _resolve_policy(policy):
-    from repro.core.scheduler import get_policy
-    if isinstance(policy, str):
-        return get_policy(policy)
-    return policy
-
-
-def replay_schedule(tasks: Sequence[Task], processors: Sequence[str],
-                    policy) -> Dict[str, Tuple[float, float]]:
-    """Replay the scheduler's choices over a task list.
-
-    An independent event loop mirroring
-    :meth:`~repro.hw.sim.Simulator._run_generic` decision-for-decision:
-    processors polled in declaration order, one task dispatched per
-    newly-idle processor, the policy fed a copy of the ready list and a
-    live :class:`~repro.hw.sim.SimContext`, co-terminating completions
-    drained before dispatch (drained tasks fold their dependents first,
-    the first-popped one after).  Returns ``{task_id: (start, end)}``.
-    """
-    policy = _resolve_policy(policy)
-    processors = list(processors)
-    by_id = {t.task_id: t for t in tasks}
-    if len(by_id) != len(tasks):
-        raise WhatIfError("duplicate task ids in replay")
-    known = set(processors)
-    for t in tasks:
-        if t.proc not in known:
-            raise WhatIfError(
-                f"task {t.task_id}: unknown processor {t.proc!r}")
-        for d in t.deps:
-            if d not in by_id:
-                raise WhatIfError(
-                    f"task {t.task_id}: unknown dependency {d!r}")
-
-    submit_index = {t.task_id: i for i, t in enumerate(tasks)}
-    dependents: Dict[str, List[str]] = {t.task_id: [] for t in tasks}
-    missing: Dict[str, int] = {}
-    dup_deps = set()
-    for t in tasks:
-        unique = set(t.deps)
-        missing[t.task_id] = len(unique)
-        if len(unique) != len(t.deps):
-            dup_deps.add(t.task_id)
-        for d in unique:
-            dependents[d].append(t.task_id)
-
-    ready: Dict[str, List[Task]] = {p: [] for p in processors}
-    for t in tasks:
-        if missing[t.task_id] == 0:
-            ready[t.proc].append(t)
-
-    completed = set()
-    context = SimContext(
-        tasks=by_id,
-        submit_index=submit_index,
-        dependents={k: tuple(v) for k, v in dependents.items()},
-        completed=completed,
-        now_s=0.0,
-        missing=missing,
-        dup_deps=frozenset(dup_deps),
-    )
-
-    schedule: Dict[str, Tuple[float, float]] = {}
-    running: List[Tuple[float, int, Task]] = []
-    seq = itertools.count()
-    proc_busy = {p: False for p in processors}
-    now = 0.0
-    n_done = 0
-
-    def dispatch() -> None:
-        context.now_s = now
-        for proc in processors:
-            if proc_busy[proc] or not ready[proc]:
-                continue
-            task = policy.select(proc, list(ready[proc]), context)
-            if task is None:
-                continue
-            if task not in ready[proc]:
-                raise WhatIfError(
-                    f"policy {policy.name!r} selected a non-ready task")
-            ready[proc].remove(task)
-            proc_busy[proc] = True
-            end = now + task.duration_s
-            heapq.heappush(running, (end, next(seq), task))
-            schedule[task.task_id] = (now, end)
-
-    dispatch()
-    while running:
-        now, _, finished = heapq.heappop(running)
-        proc_busy[finished.proc] = False
-        completed.add(finished.task_id)
-        n_done += 1
-        while running and running[0][0] == now:
-            _, _, other = heapq.heappop(running)
-            proc_busy[other.proc] = False
-            completed.add(other.task_id)
-            n_done += 1
-            for dep_id in dependents[other.task_id]:
-                missing[dep_id] -= 1
-                if missing[dep_id] == 0:
-                    t = by_id[dep_id]
-                    ready[t.proc].append(t)
-        for dep_id in dependents[finished.task_id]:
-            missing[dep_id] -= 1
-            if missing[dep_id] == 0:
-                t = by_id[dep_id]
-                ready[t.proc].append(t)
-        dispatch()
-
-    if n_done != len(tasks):
-        stuck = [t.task_id for t in tasks if t.task_id not in completed]
-        raise WhatIfError(
-            f"replay deadlock: {len(stuck)} tasks never became ready: "
-            f"{stuck[:5]}")
-    return schedule
 
 
 # -- outcomes -----------------------------------------------------------------
@@ -396,30 +261,29 @@ def perturb_tasks(run: CapturedRun,
     return tuple(out)
 
 
-def _extended_processors(run: CapturedRun,
-                         tasks: Sequence[Task]) -> List[str]:
-    """The run's processors plus any a reassignment introduced, in
-    first-occurrence order (declaration order matters for dispatch)."""
+def resimulate(run: CapturedRun,
+               perturbations: Sequence) -> WhatIfOutcome:
+    """TTFT/ITL/e2e of the perturbed DAG, run through the simulator.
+
+    Processors a reassignment introduced are appended after the run's
+    own, in first-occurrence order (declaration order matters for
+    dispatch).
+    """
+    tasks = list(perturb_tasks(run, perturbations))
     procs = list(run.processors)
     for t in tasks:
         if t.proc not in procs:
             procs.append(t.proc)
-    return procs
-
-
-def _outcome(schedule: Dict[str, Tuple[float, float]],
-             run: CapturedRun) -> WhatIfOutcome:
-    prefill_end = max(schedule[tid][1] for tid in schedule
-                      if tid in run.prefill_ids)
-    makespan = max(end for _start, end in schedule.values())
+    events = Simulator(procs).run(tasks, run.policy).events
+    prefill_end = max(e.end_s for e in events
+                      if e.task_id in run.prefill_ids)
+    makespan = max(e.end_s for e in events)
+    itl = 0.0
     if run.output_tokens > 0:
-        decode = [(start, end) for tid, (start, end) in schedule.items()
-                  if tid not in run.prefill_ids]
-        span = (max(end for _s, end in decode)
-                - min(start for start, _e in decode))
+        decode = [e for e in events if e.task_id not in run.prefill_ids]
+        span = (max(e.end_s for e in decode)
+                - min(e.start_s for e in decode))
         itl = span / run.output_tokens
-    else:
-        itl = 0.0
     return WhatIfOutcome(
         ttft_s=prefill_end + run.extra_latency_s,
         itl_s=itl,
@@ -428,28 +292,13 @@ def _outcome(schedule: Dict[str, Tuple[float, float]],
 
 
 def predict(run: CapturedRun, perturbations: Sequence) -> WhatIfReport:
-    """Predicted TTFT/ITL/e2e deltas of a perturbed run (replay-based)."""
-    baseline = _outcome(
-        replay_schedule(run.tasks, run.processors, run.policy), run)
-    tasks = perturb_tasks(run, perturbations)
-    procs = _extended_processors(run, tasks)
-    predicted = _outcome(replay_schedule(tasks, procs, run.policy), run)
+    """Baseline vs perturbed TTFT/ITL/e2e of a captured run."""
     return WhatIfReport(
         source=run.source,
         perturbations=tuple(p.label for p in perturbations),
-        baseline=baseline,
-        predicted=predicted,
+        baseline=resimulate(run, []),
+        predicted=resimulate(run, perturbations),
     )
-
-
-def resimulate(run: CapturedRun,
-               perturbations: Sequence) -> WhatIfOutcome:
-    """Ground truth: the perturbed DAG through the real simulator."""
-    tasks = list(perturb_tasks(run, perturbations))
-    procs = _extended_processors(run, tasks)
-    trace = Simulator(procs).run(tasks, _resolve_policy(run.policy))
-    schedule = {e.task_id: (e.start_s, e.end_s) for e in trace.events}
-    return _outcome(schedule, run)
 
 
 # -- DMA overlap capture ------------------------------------------------------
@@ -459,20 +308,9 @@ def engine_with_dma(engine, dma):
     """A fresh engine identical to ``engine`` but built with an explicit
     :class:`~repro.hw.dma.DmaConfig` weight-streaming model."""
     from repro.core.engine import LlmNpuEngine
-    from repro.graph.builder import GraphBuilder
-    from repro.graph.chunk import ChunkSharingGraph
 
     clone = LlmNpuEngine(engine.model, engine.device, engine.config)
-    clone.build_options = replace(clone.build_options, dma=dma)
-    clone.builder = GraphBuilder(engine.model, engine.device,
-                                 clone.build_options)
-    cfg = clone.config
-    max_chunks = min(cfg.max_chunks,
-                     max(1, engine.model.max_context // cfg.chunk_len))
-    clone.graph = ChunkSharingGraph(
-        clone.builder, cfg.chunk_len, max_chunks,
-        clone.shadow_profiles if cfg.quant_mode == "shadow" else None,
-    )
+    clone._prepare_graphs(replace(clone.build_options, dma=dma))
     return clone
 
 

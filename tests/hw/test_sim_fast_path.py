@@ -81,6 +81,24 @@ class TestTraceEquivalence:
         ref = ReferenceSimulator(procs).run(tasks, FifoPolicy())
         assert fast.events == ref.events
 
+    def test_captured_whatif_dag_matches_reference(self):
+        # The engine-shaped DAG the what-if estimator simulates: ooo
+        # policy, a decode chain on the prefill sinks, and a stage
+        # reassigned to a processor the capture did not declare.
+        from repro.core import LlmNpuEngine
+        from repro.obs import (ProcessorReassign, capture_engine_run,
+                               perturb_tasks)
+        engine = LlmNpuEngine.build("Qwen1.5-1.8B", "Redmi K70 Pro")
+        run = capture_engine_run(engine, 512, output_tokens=4)
+        tasks = list(perturb_tasks(
+            run, [ProcessorReassign("sg2.float", "gpu")]))
+        procs = list(run.processors) + ["gpu"]
+        assert "decode" in {t.tag for t in tasks}
+        assert "gpu" not in run.processors
+        fast = Simulator(procs).run(tasks, OutOfOrderPolicy())
+        ref = ReferenceSimulator(procs).run(tasks, OutOfOrderPolicy())
+        assert fast.events == ref.events
+
     def test_duplicate_duration_co_terminators(self):
         # Many tasks finishing at the same instant exercises the
         # co-terminator drain order on both paths.

@@ -250,6 +250,9 @@ class TestUsageErrorsExitTwo:
     @pytest.mark.parametrize("argv, expect", [
         (["whatif", "--speedup", "nosuch=2"], "matches no captured task"),
         (["whatif", "--reassign", "nosuch=gpu"], "matches no captured task"),
+        (["whatif", "--reassign", "sg1=dsp"], "not a processor of"),
+        (["whatif", "--speedup", "sg1=nan"], "finite and positive"),
+        (["whatif", "--speedup", "sg1=inf"], "finite and positive"),
         (["infer", "--prompt-tokens", "0"], "prompt_tokens must be positive"),
         (["infer", "--prompt-tokens", "100000"], "graph was prepared for"),
         (["profile", "--prompt-tokens", "0"],
