@@ -46,6 +46,7 @@ Two serving paths coexist:
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -91,6 +92,26 @@ def request_track(request_id: int) -> str:
     return f"req {request_id:05d}"
 
 
+def _chunk_finish_order(trace) -> List[Tuple[int, float]]:
+    """``(chunk, finish_s)`` of every prefill chunk in completion order.
+
+    A chunk finishes when the simulated schedule finishes its last
+    subgraph (task ids ``c<k>.*``); ties break by chunk index.
+    """
+    chunk_finish: Dict[int, float] = {}
+    for event in trace.events:
+        head = event.task_id.split(".", 1)[0]
+        if not head.startswith("c"):
+            continue
+        try:
+            chunk = int(head[1:])
+        except ValueError:
+            continue
+        chunk_finish[chunk] = max(chunk_finish.get(chunk, 0.0),
+                                  event.end_s)
+    return sorted(chunk_finish.items(), key=lambda item: (item[1], item[0]))
+
+
 def _prefill_chunk_costs(prefill, n_chunks: int) -> List[float]:
     """Per-chunk sim-clock costs of one estimated prefill.
 
@@ -105,26 +126,14 @@ def _prefill_chunk_costs(prefill, n_chunks: int) -> List[float]:
     if n_chunks <= 0:
         raise EngineError(f"n_chunks must be positive, got {n_chunks}")
     latency = prefill.latency_s
-    trace = prefill.trace
-    if trace is not None:
-        chunk_finish: Dict[int, float] = {}
-        for event in trace.events:
-            head = event.task_id.split(".", 1)[0]
-            if not head.startswith("c"):
-                continue
-            try:
-                chunk = int(head[1:])
-            except ValueError:
-                continue
-            chunk_finish[chunk] = max(chunk_finish.get(chunk, 0.0),
-                                      event.end_s)
-        if len(chunk_finish) == n_chunks:
+    if prefill.trace is not None:
+        order = _chunk_finish_order(prefill.trace)
+        if len(order) == n_chunks:
             costs: List[float] = []
             prev = 0.0
-            for chunk in sorted(chunk_finish,
-                                key=lambda c: (chunk_finish[c], c)):
-                costs.append(chunk_finish[chunk] - prev)
-                prev = chunk_finish[chunk]
+            for _, finish in order:
+                costs.append(finish - prev)
+                prev = finish
             costs[0] += latency - prev
             return costs
     per = latency / n_chunks
@@ -285,6 +294,20 @@ class ServedRequest:
         return (self.request_id, self.model, self.tier, self.status,
                 self.retries, self.arrival_s, self.start_s, self.finish_s,
                 None if self.report is None else self.report.e2e_latency_s)
+
+
+def _gave_up(req: ServiceRequest, dispatch_s: float, status: str,
+             attempts: int, now_s: float, batched: bool) -> ServedRequest:
+    """The record of a request whose fault/retry prelude ended in
+    ``failed`` or ``timeout``: the engine was held from ``dispatch_s``
+    to ``now_s`` and no report was produced."""
+    return ServedRequest(
+        request_id=req.request_id, model=req.model,
+        arrival_s=req.arrival_s, start_s=dispatch_s, finish_s=now_s,
+        report=None, tier=req.tier.name, status=status,
+        retries=attempts - 1, batched=batched,
+        retry_held_s=now_s - dispatch_s,
+    )
 
 
 class ChatSession:
@@ -469,35 +492,33 @@ class LlmService:
         key = (req.model, req.prompt_tokens, req.output_tokens,
                req.cached_tokens)
         if key not in self._est_cache:
-            if self.fault_injector is not None:
-                with self.fault_injector.suspended():
-                    report = engine.infer(req.prompt_tokens,
-                                          req.output_tokens,
-                                          cached_tokens=req.cached_tokens)
-            else:
-                report = engine.infer(req.prompt_tokens, req.output_tokens,
-                                      cached_tokens=req.cached_tokens)
-            self._est_cache[key] = report
+            with (self.fault_injector.suspended()
+                  if self.fault_injector is not None else nullcontext()):
+                self._est_cache[key] = engine.infer(
+                    req.prompt_tokens, req.output_tokens,
+                    cached_tokens=req.cached_tokens)
         return self._est_cache[key]
 
     # -- execution ------------------------------------------------------------
 
-    def _execute(self, engine: LlmNpuEngine, req: ServiceRequest,
-                 dispatch_s: float) -> ServedRequest:
-        """Run one dispatched request, retrying transient faults.
+    def _attempt(self, engine: LlmNpuEngine, req: ServiceRequest,
+                 est: InferenceReport, dispatch_s: float
+                 ) -> Tuple[Optional[str], int, float]:
+        """Fault/retry prelude of one dispatch (both serving loops).
 
-        The engine is held from ``dispatch_s`` until the returned
-        record's ``finish_s`` (mobile NPUs don't preempt): failed
-        attempts consume :data:`FAULT_ATTEMPT_FRACTION` of the service
-        estimate, then the tier's exponential backoff elapses before the
-        next attempt.  A request that would retry past its deadline
-        gives up with status ``timeout``.
+        The engine is held from ``dispatch_s`` (mobile NPUs don't
+        preempt): each failed attempt consumes
+        :data:`FAULT_ATTEMPT_FRACTION` of the service estimate, then the
+        tier's exponential backoff elapses before the next attempt.
+        Returns ``(status, attempts, now)``: ``status`` is None when
+        attempt ``attempts`` succeeds at ``now``, ``failed`` after a
+        permanent fault or past the retry cap, and ``timeout`` when the
+        retries ran past the deadline.
 
         Tracing (when enabled) is strictly observational: spans are
         emitted alongside the clock arithmetic, never folded into it,
-        so the returned record is identical with tracing on or off.
+        so the outcome is identical with tracing on or off.
         """
-        est = self._estimate(engine, req)
         tr = self.tracer
         track = request_track(req.request_id)
         if tr.enabled and dispatch_s > req.arrival_s:
@@ -506,60 +527,61 @@ class LlmService:
                     tier=req.tier.name)
         now = dispatch_s
         attempts = 0
-        prefill_end = first_token = None
         while True:
             attempts += 1
-            kind = None
             try:
                 engine.check_fault(now_s=now)
             except TransientEngineError:
                 kind = "transient"
             except PermanentEngineError:
                 kind = "permanent"
-            if kind is None:
-                finish, status, report = now + est.e2e_latency_s, \
-                    "completed", est
-                prefill_end = now + est.prefill.latency_s
-                first_token = prefill_end
-                if tr.enabled:
-                    self._trace_success(track, req, est, now)
-                break
+            else:
+                return None, attempts, now
             self.metrics_registry.counter("service_faults_total",
                                           kind=kind).inc()
+            held = FAULT_ATTEMPT_FRACTION * est.e2e_latency_s
             if tr.enabled:
                 tr.span(f"attempt {attempts}", proc="service",
-                        thread=track, start_s=now,
-                        end_s=now + FAULT_ATTEMPT_FRACTION
-                        * est.e2e_latency_s,
+                        thread=track, start_s=now, end_s=now + held,
                         cat="retry", fault=kind, attempt=attempts)
-            now += FAULT_ATTEMPT_FRACTION * est.e2e_latency_s
+            now += held
             if kind == "permanent" or attempts > req.tier.max_retries:
-                finish, status, report = now, "failed", None
-                break
+                return "failed", attempts, now
+            backoff = req.tier.retry_backoff_s * (2 ** (attempts - 1))
             if tr.enabled:
                 tr.span("backoff", proc="service", thread=track,
-                        start_s=now,
-                        end_s=now + req.tier.retry_backoff_s
-                        * (2 ** (attempts - 1)),
+                        start_s=now, end_s=now + backoff,
                         cat="retry", attempt=attempts)
-            now += req.tier.retry_backoff_s * (2 ** (attempts - 1))
+            now += backoff
             if now > req.deadline_s:
-                finish, status, report = now, "timeout", None
-                break
+                return "timeout", attempts, now
+
+    def _execute(self, engine: LlmNpuEngine, req: ServiceRequest,
+                 dispatch_s: float) -> ServedRequest:
+        """Run one dispatched request to completion after
+        :meth:`_attempt`; the engine is held until the returned record's
+        ``finish_s``."""
+        est = self._estimate(engine, req)
+        status, attempts, now = self._attempt(engine, req, est, dispatch_s)
+        if status is not None:
+            return _gave_up(req, dispatch_s, status, attempts, now,
+                            batched=False)
+        if self.tracer.enabled:
+            self._trace_success(request_track(req.request_id), req, est,
+                                now)
+        prefill_end = now + est.prefill.latency_s
         return ServedRequest(
             request_id=req.request_id,
             model=req.model,
             arrival_s=req.arrival_s,
             start_s=dispatch_s,
-            finish_s=finish,
-            report=report,
+            finish_s=now + est.e2e_latency_s,
+            report=est,
             tier=req.tier.name,
-            status=status,
             retries=attempts - 1,
             prefill_end_s=prefill_end,
-            first_token_s=first_token,
-            retry_held_s=(now - dispatch_s if status == "completed"
-                          else finish - dispatch_s),
+            first_token_s=prefill_end,
+            retry_held_s=now - dispatch_s,
         )
 
     def _trace_success(self, track: str, req: ServiceRequest,
@@ -590,21 +612,9 @@ class LlmService:
                     "graph prepare", proc="service", thread=chunk_track,
                     start_s=start_s, end_s=offset, cat="prefill",
                 )
-            chunk_finish: Dict[int, float] = {}
-            for event in prefill.trace.events:
-                head = event.task_id.split(".", 1)[0]
-                if not head.startswith("c"):
-                    continue
-                try:
-                    chunk = int(head[1:])
-                except ValueError:
-                    continue
-                chunk_finish[chunk] = max(chunk_finish.get(chunk, 0.0),
-                                          event.end_s)
             prev = max(start_s, offset)
-            for chunk in sorted(chunk_finish,
-                                key=lambda c: (chunk_finish[c], c)):
-                end = offset + chunk_finish[chunk]
+            for chunk, finish in _chunk_finish_order(prefill.trace):
+                end = offset + finish
                 self.tracer.span(
                     f"chunk {chunk}", proc="service", thread=chunk_track,
                     start_s=prev, end_s=end, cat="prefill", chunk=chunk,
@@ -821,19 +831,41 @@ class LlmService:
             report=None, tier=req.tier.name, status=status, retries=0,
         )
 
+    def _pop_live(self, queue: RequestQueue, now_s: float,
+                  records: List[ServedRequest]) -> Optional[ServiceRequest]:
+        """Pop the queue head for dispatch at ``now_s``.
+
+        Returns None when the head is shed instead — cancelled, or
+        waited past its deadline (engine unused) — with its record
+        appended to ``records``.
+        """
+        req = queue.pop(now_s=now_s)
+        if req.request_id in self._cancelled:
+            records.append(self._shed(req, req.arrival_s, "cancelled"))
+            return None
+        if now_s > req.deadline_s:
+            records.append(self._shed(req, req.deadline_s, "timeout"))
+            return None
+        return req
+
+    def _finish_run(self, records: List[ServedRequest]
+                    ) -> List[ServedRequest]:
+        """Close one :meth:`run`: clear the pending streams, then record
+        and observe its records in request-id order."""
+        self._pending.clear()
+        records.sort(key=lambda r: r.request_id)
+        self._requests.extend(records)
+        for record in records:
+            self._observe(record)
+        return records
+
     def _admit(self, queue: RequestQueue, req: ServiceRequest,
-               free_s: float, records: List[ServedRequest],
-               prefill_only: bool = False) -> None:
+               free_s: float, records: List[ServedRequest]) -> None:
         """Process one arrival: cancel, reject, or push onto the queue.
 
         The projected queueing delay is the engine's remaining busy time
         plus the estimated service of every queued request that would be
         dispatched before this one (higher key in the queue's order).
-        With ``prefill_only`` (the step loop's projection) the
-        queued-ahead cost counts only estimated prefill time: under
-        iteration-level scheduling a request's first token waits for the
-        prefill work ahead of it, not for other requests' decode tails —
-        those interleave.
         """
         if req.request_id in self._cancelled:
             records.append(self._shed(req, req.arrival_s, "cancelled"))
@@ -844,9 +876,7 @@ class LlmService:
             wait = max(0.0, free_s - req.arrival_s)
             for queued in queue:
                 if queue.precedes(queued, req):
-                    est = self._estimate(engine, queued)
-                    wait += (est.prefill.latency_s if prefill_only
-                             else est.e2e_latency_s)
+                    wait += self._estimate(engine, queued).e2e_latency_s
             if wait > req.tier.slo_queueing_s:
                 self.metrics_registry.counter(
                     "service_admission_total", decision="rejected").inc()
@@ -922,15 +952,8 @@ class LlmService:
                         free_s = max(free_s, reqs[idx].arrival_s)
                         continue
                     break
-                req = queue.pop(now_s=free_s)
-                if req.request_id in self._cancelled:
-                    new_records.append(self._shed(req, req.arrival_s,
-                                                  "cancelled"))
-                    continue
-                if free_s > req.deadline_s:
-                    # waited past its deadline: cancelled, engine unused
-                    new_records.append(self._shed(req, req.deadline_s,
-                                                  "timeout"))
+                req = self._pop_live(queue, free_s, new_records)
+                if req is None:
                     continue
                 if self._step_observers:
                     self._emit_decision(
@@ -942,12 +965,7 @@ class LlmService:
                 free_s = max(free_s, record.finish_s)
                 new_records.append(record)
             self._clocks[model_name] = free_s
-        self._pending.clear()
-        new_records.sort(key=lambda r: r.request_id)
-        self._requests.extend(new_records)
-        for record in new_records:
-            self._observe(record)
-        return new_records
+        return self._finish_run(new_records)
 
     # -- iteration-level serving (step loop) ----------------------------------
 
@@ -962,66 +980,19 @@ class LlmService:
     ) -> Tuple[Optional[ChunkContinuation], Optional[ServedRequest], float]:
         """Dispatch one request into the batch: fault prelude + state.
 
-        Mirrors :meth:`_execute`'s retry arithmetic exactly (same fault
-        draws, same attempt/backoff costs) but stops at the point the
-        successful attempt would begin, returning the request's
+        Runs :meth:`_attempt` (the same fault draws and attempt/backoff
+        costs as :meth:`_execute`) but stops where the successful
+        attempt would begin, returning the request's
         :class:`ChunkContinuation` instead of running it to completion.
         Returns ``(state, record, now)``: ``record`` is set (and
         ``state`` is None) when the prelude itself failed or timed out —
         the engine was held until ``now`` either way.
         """
         est = self._estimate(engine, req)
-        tr = self.tracer
-        track = request_track(req.request_id)
-        if tr.enabled and dispatch_s > req.arrival_s:
-            tr.span("queued", proc="service", thread=track,
-                    start_s=req.arrival_s, end_s=dispatch_s, cat="queue",
-                    tier=req.tier.name)
-        now = dispatch_s
-        attempts = 0
-        status = None
-        while True:
-            attempts += 1
-            kind = None
-            try:
-                engine.check_fault(now_s=now)
-            except TransientEngineError:
-                kind = "transient"
-            except PermanentEngineError:
-                kind = "permanent"
-            if kind is None:
-                break
-            self.metrics_registry.counter("service_faults_total",
-                                          kind=kind).inc()
-            if tr.enabled:
-                tr.span(f"attempt {attempts}", proc="service",
-                        thread=track, start_s=now,
-                        end_s=now + FAULT_ATTEMPT_FRACTION
-                        * est.e2e_latency_s,
-                        cat="retry", fault=kind, attempt=attempts)
-            now += FAULT_ATTEMPT_FRACTION * est.e2e_latency_s
-            if kind == "permanent" or attempts > req.tier.max_retries:
-                status = "failed"
-                break
-            if tr.enabled:
-                tr.span("backoff", proc="service", thread=track,
-                        start_s=now,
-                        end_s=now + req.tier.retry_backoff_s
-                        * (2 ** (attempts - 1)),
-                        cat="retry", attempt=attempts)
-            now += req.tier.retry_backoff_s * (2 ** (attempts - 1))
-            if now > req.deadline_s:
-                status = "timeout"
-                break
+        status, attempts, now = self._attempt(engine, req, est, dispatch_s)
         if status is not None:
-            record = ServedRequest(
-                request_id=req.request_id, model=req.model,
-                arrival_s=req.arrival_s, start_s=dispatch_s,
-                finish_s=now, report=None, tier=req.tier.name,
-                status=status, retries=attempts - 1, batched=True,
-                retry_held_s=now - dispatch_s,
-            )
-            return None, record, now
+            return None, _gave_up(req, dispatch_s, status, attempts, now,
+                                  batched=True), now
 
         cfg = engine.config
         if cfg.chunking:
@@ -1105,6 +1076,11 @@ class LlmService:
         """
         bcfg = self.batching
         tr = self.tracer
+        # decision-log limits (None where the config leaves it unbounded)
+        token_limit = (None if bcfg.max_batch_tokens is None
+                       else float(bcfg.max_batch_tokens))
+        kv_limit = (None if bcfg.kv_budget_bytes is None
+                    else float(bcfg.kv_budget_bytes))
         new_records: List[ServedRequest] = []
         for model_name in sorted(self._pending):
             reqs = sorted(self._pending[model_name],
@@ -1161,17 +1137,11 @@ class LlmService:
                                     step=len(self._steps),
                                     quantity="kv_projected_bytes",
                                     value=float(reserved + projected),
-                                    limit=float(bcfg.kv_budget_bytes),
+                                    limit=kv_limit,
                                 )
                             break  # head-of-line: wait for KV to free
-                    req = queue.pop(now_s=now)
-                    if req.request_id in self._cancelled:
-                        new_records.append(
-                            self._shed(req, req.arrival_s, "cancelled"))
-                        continue
-                    if now > req.deadline_s:
-                        new_records.append(
-                            self._shed(req, req.deadline_s, "timeout"))
+                    req = self._pop_live(queue, now, new_records)
+                    if req is None:
                         continue
                     state, dead, now = self._start_batched(engine, req,
                                                            now)
@@ -1187,8 +1157,7 @@ class LlmService:
                             step=len(self._steps),
                             quantity="kv_reserved_bytes",
                             value=float(state.kv_reserved_bytes),
-                            limit=(None if bcfg.kv_budget_bytes is None
-                                   else float(bcfg.kv_budget_bytes)),
+                            limit=kv_limit,
                         )
                 concurrency_full = (
                     bool(queue) and kv_blocked_id is None
@@ -1234,10 +1203,7 @@ class LlmService:
                                 state.tier_name, "chunk-scheduled",
                                 step=step_index, quantity="tokens",
                                 value=float(it.tokens),
-                                limit=(None
-                                       if bcfg.max_batch_tokens is None
-                                       else float(
-                                           bcfg.max_batch_tokens)),
+                                limit=token_limit,
                             )
                         else:
                             self._emit_decision(
@@ -1256,10 +1222,7 @@ class LlmService:
                                 quantity="next_chunk_tokens",
                                 value=float(
                                     state.chunk_lens[state.cursor]),
-                                limit=(None
-                                       if bcfg.max_batch_tokens is None
-                                       else float(
-                                           bcfg.max_batch_tokens)),
+                                limit=token_limit,
                             )
                         elif (state.prefill_done and not state.done
                                 and (rid, "decode") not in scheduled):
@@ -1268,10 +1231,7 @@ class LlmService:
                                 "decode-rotated-out", step=step_index,
                                 quantity="rotation",
                                 value=float(rotation),
-                                limit=(None
-                                       if bcfg.max_batch_tokens is None
-                                       else float(
-                                           bcfg.max_batch_tokens)),
+                                limit=token_limit,
                             )
                 rotation += 1
                 executed: List[StepItem] = []
@@ -1329,12 +1289,7 @@ class LlmService:
                             engine, model_name, state,
                             open_reqs.pop(rid), finished_at[rid]))
             self._clocks[model_name] = now
-        self._pending.clear()
-        new_records.sort(key=lambda r: r.request_id)
-        self._requests.extend(new_records)
-        for record in new_records:
-            self._observe(record)
-        return new_records
+        return self._finish_run(new_records)
 
     # -- reporting ----------------------------------------------------------------
 

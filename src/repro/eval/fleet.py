@@ -309,77 +309,27 @@ def run_step_probe(spec: FleetDeviceSpec,
     return service, steplog
 
 
-def merged_sketches(
-        monitors: Sequence[SloMonitor]) -> Dict[str, QuantileSketch]:
-    """Merge per-device sketches key-by-key into fleet sketches."""
+def _merge_sketch_docs(maps) -> Dict[str, QuantileSketch]:
+    """Merge ``{key: repro.sketch/v1 dict}`` maps key-by-key (exact:
+    integer buckets and Fraction sums, so merge order cannot change a
+    bit)."""
     merged: Dict[str, QuantileSketch] = {}
-    for monitor in monitors:
-        for key, sketch in monitor.sketches.items():
+    for docs in maps:
+        for key, doc in docs.items():
+            sketch = QuantileSketch.from_dict(doc)
             if key in merged:
                 merged[key].merge(sketch)
             else:
-                merged[key] = QuantileSketch.from_dict(sketch.to_dict())
+                merged[key] = sketch
     return merged
 
 
-def merged_compliance(slos: Sequence[SloSpec],
-                      monitors: Sequence[SloMonitor]) -> List[dict]:
-    """Fleet-wide compliance: per-SLO event/bad counts summed across
-    devices, then re-derived good-fraction / budget burn / met."""
-    per_device = [monitor.compliance() for monitor in monitors]
-    out = []
-    for i, slo in enumerate(slos):
-        total = sum(rows[i]["n_events"] for rows in per_device)
-        bad = sum(rows[i]["n_bad"] for rows in per_device)
-        good_fraction = 1.0 if total == 0 else 1.0 - bad / total
-        record = slo.to_dict()
-        record.update({
-            "n_events": total,
-            "n_bad": bad,
-            "good_fraction": good_fraction,
-            "budget_burned": (0.0 if total == 0
-                              else (bad / total) / slo.error_budget),
-            "met": good_fraction >= slo.target,
-        })
-        out.append(record)
-    return out
-
-
-def merged_alerts(specs: Sequence[FleetDeviceSpec],
-                  monitors: Sequence[SloMonitor],
-                  slos: Sequence[SloSpec] = FLEET_SLOS,
-                  rules: Sequence[BurnRateRule] = DEFAULT_RULES) -> dict:
-    """One fleet ``repro.alerts/v1`` document.
-
-    Incidents keep their device identity in a ``source`` field — the
-    non-overlap invariant of the schema holds per ``(source, slo,
-    rule)``, so concurrent incidents on different devices are legal.
-    """
-    incidents: List[dict] = []
-    starts, ends = [], []
-    n_requests = n_faults = 0
-    for spec, monitor in zip(specs, monitors):
-        timeline = monitor.timeline(source=spec.name)
-        for incident in timeline["incidents"]:
-            incidents.append({**incident, "source": spec.name})
-        if timeline["n_request_events"] or timeline["n_fault_events"]:
-            starts.append(timeline["start_s"])
-            ends.append(timeline["end_s"])
-        n_requests += timeline["n_request_events"]
-        n_faults += timeline["n_fault_events"]
-    incidents.sort(key=lambda inc: (inc["pending_s"], inc["source"],
-                                    inc["slo"], inc["rule"]))
-    return {
-        "schema": ALERTS_SCHEMA,
-        "source": "fleet",
-        "start_s": min(starts) if starts else 0.0,
-        "end_s": max(ends) if ends else 0.0,
-        "n_request_events": n_requests,
-        "n_fault_events": n_faults,
-        "slos": merged_compliance(slos, monitors),
-        "rules": [rule.to_dict() for rule in rules],
-        "incidents": incidents,
-    }
+def merged_sketches(
+        monitors: Sequence[SloMonitor]) -> Dict[str, QuantileSketch]:
+    """Merge per-device sketches key-by-key into fleet sketches."""
+    return _merge_sketch_docs(
+        {key: sketch.to_dict() for key, sketch in monitor.sketches.items()}
+        for monitor in monitors)
 
 
 def _device_critpath_sketches(service) -> Dict[str, dict]:
@@ -489,23 +439,14 @@ def _device_payloads(specs: Sequence[FleetDeviceSpec],
 
 def _merge_payload_sketches(payloads: Sequence[dict]
                             ) -> Dict[str, QuantileSketch]:
-    """Merge serialized per-device sketches key-by-key (exact: integer
-    buckets and Fraction sums, so merge order cannot change a bit)."""
-    merged: Dict[str, QuantileSketch] = {}
-    for payload in payloads:
-        for key, doc in payload["sketches"].items():
-            sketch = QuantileSketch.from_dict(doc)
-            if key in merged:
-                merged[key].merge(sketch)
-            else:
-                merged[key] = sketch
-    return merged
+    """Merge serialized per-device latency sketches key-by-key."""
+    return _merge_sketch_docs(payload["sketches"] for payload in payloads)
 
 
 def _merge_payload_compliance(slos: Sequence[SloSpec],
                               payloads: Sequence[dict]) -> List[dict]:
-    """Fleet compliance from payload count rows (see
-    :func:`merged_compliance`)."""
+    """Fleet-wide compliance: per-SLO event/bad counts summed across
+    device payloads, then re-derived good-fraction / budget burn / met."""
     out = []
     for i, slo in enumerate(slos):
         total = sum(p["compliance"][i]["n_events"] for p in payloads)
@@ -526,24 +467,20 @@ def _merge_payload_compliance(slos: Sequence[SloSpec],
 
 def _merge_payload_critpath(payloads: Sequence[dict]
                             ) -> Dict[str, QuantileSketch]:
-    """Merge serialized per-device critical-path sketches key-by-key
-    (same exactness guarantees as :func:`_merge_payload_sketches`)."""
-    merged: Dict[str, QuantileSketch] = {}
-    for payload in payloads:
-        for key, doc in payload.get("critpath", {}).items():
-            sketch = QuantileSketch.from_dict(doc)
-            if key in merged:
-                merged[key].merge(sketch)
-            else:
-                merged[key] = sketch
-    return merged
+    """Merge serialized per-device critical-path sketches key-by-key."""
+    return _merge_sketch_docs(payload.get("critpath", {})
+                              for payload in payloads)
 
 
 def _merge_payload_alerts(payloads: Sequence[dict],
                           slos: Sequence[SloSpec],
                           rules: Sequence[BurnRateRule]) -> dict:
-    """Fleet ``repro.alerts/v1`` from payload timelines (see
-    :func:`merged_alerts`)."""
+    """One fleet ``repro.alerts/v1`` document from payload timelines.
+
+    Incidents keep their device identity in a ``source`` field — the
+    non-overlap invariant of the schema holds per ``(source, slo,
+    rule)``, so concurrent incidents on different devices are legal.
+    """
     incidents: List[dict] = []
     starts, ends = [], []
     n_requests = n_faults = 0

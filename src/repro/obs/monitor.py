@@ -430,36 +430,16 @@ class SloMonitor:
         scheduled.  Accepts :class:`~repro.core.scheduler.StepRecord`
         objects or their ``repro.steps/v1`` dicts.
         """
-        def get(key):
-            return (record[key] if isinstance(record, dict)
-                    else getattr(record, key))
-
-        self._n_steps += 1
-        self._sketch("batch_tokens", "step").observe(
-            float(get("prefill_tokens") + get("decode_tokens")))
-        queued = tuple(get("queued_ids"))
-        self._sketch("queue_depth", "step").observe(float(len(queued)))
-        self._sketch("inflight", "step").observe(float(get("n_inflight")))
-        util = (get("budget_utilization") if isinstance(record, dict)
-                else record.budget_utilization)
-        if util is not None:
-            self._sketch("budget_utilization", "step").observe(util)
-        for rid in queued:
-            streak = self._queued_streaks.get(rid, 0) + 1
-            self._queued_streaks[rid] = streak
-            if streak > self._peak_streaks.get(rid, 0):
-                self._peak_streaks[rid] = streak
-        for rid in tuple(self._queued_streaks):
-            if rid not in queued:
-                del self._queued_streaks[rid]
+        self.observe_steps((record,))
 
     def observe_steps(self, records) -> int:
         """Batch consumer of step records; returns the batch size.
 
-        Produces exactly the state ``N`` :meth:`observe_step` calls
-        would: the four step sketches ingest their value streams through
+        One batch of ``N`` records produces exactly the state of ``N``
+        :meth:`observe_step` calls: the four step sketches ingest their
+        value streams through
         :meth:`~repro.obs.sketch.QuantileSketch.record_many` (bit-equal
-        to sequential observes), and the starvation streak machine still
+        to sequential observes), and the starvation streak machine
         advances record-by-record in order — its transitions depend on
         the previous record's queue, so only the sketch ingestion is
         batched.
@@ -498,8 +478,8 @@ class SloMonitor:
         self._sketch("queue_depth", "step").record_many(queue_depths)
         self._sketch("inflight", "step").record_many(inflight)
         if budget_utils:
-            # Lazily created like observe_step: an all-None stream must
-            # not materialize an empty budget_utilization sketch.
+            # Created lazily: an all-None stream must not materialize
+            # an empty budget_utilization sketch.
             self._sketch("budget_utilization", "step").record_many(
                 budget_utils)
         return len(records)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     FAULT_ATTEMPT_FRACTION,
+    BatchConfig,
     EngineConfig,
     LlmNpuEngine,
     LlmService,
@@ -105,42 +106,62 @@ def tiers(max_retries=2, backoff=0.05, timeout=float("inf")):
     )}
 
 
-def run_one(fault_spec, **tier_kwargs):
+#: A real step loop: concurrency 2 keeps it off the ``sequential``
+#: config that the per-request loop serves.
+STEP_LOOP = BatchConfig(max_batch_tokens=1024, max_concurrency=2)
+
+
+def run_one(fault_spec, batching=None, **tier_kwargs):
     svc = LlmService(DEVICE, EngineConfig(), admission=False,
-                     fault_spec=fault_spec, tiers=tiers(**tier_kwargs))
+                     fault_spec=fault_spec, tiers=tiers(**tier_kwargs),
+                     batching=batching)
     svc.enqueue(MODEL, 512, 2, arrival_s=0.0, tier="interactive")
     return svc.run()[0]
 
 
 @pytest.fixture(scope="module")
 def clean_record():
-    """The same request served fault-free (the timing baseline)."""
+    """The same request served fault-free by the per-request loop (the
+    timing baseline of both loops)."""
     return run_one(None)
 
 
 class TestServiceRetries:
+    """Retry arithmetic on the per-request loop; the subclass below
+    runs every test again on the step loop, against the same baseline,
+    so both loops must agree on status, retries, ``service_s`` and
+    ``retry_held_s``."""
+
+    batching = None
+
+    def serve(self, fault_spec, **tier_kwargs):
+        record = run_one(fault_spec, self.batching, **tier_kwargs)
+        assert record.batched == (self.batching is not None)
+        return record
+
     def test_transient_retried_with_backoff(self, clean_record):
-        record = run_one(FaultSpec(script=("transient",)))
+        record = self.serve(FaultSpec(script=("transient",)))
         assert record.status == "completed"
         assert record.retries == 1
         e2e = clean_record.service_s
         # dead attempt burns a fraction of the service time, then one
         # backoff period elapses, then the retry runs to completion
-        expected = FAULT_ATTEMPT_FRACTION * e2e + 0.05 + e2e
-        assert record.service_s == pytest.approx(expected, rel=1e-9)
+        held = FAULT_ATTEMPT_FRACTION * e2e + 0.05
+        assert record.retry_held_s == pytest.approx(held, rel=1e-9)
+        assert record.service_s == pytest.approx(held + e2e, rel=1e-9)
 
     def test_backoff_is_exponential(self, clean_record):
-        record = run_one(FaultSpec(script=("transient", "transient")))
+        record = self.serve(FaultSpec(script=("transient", "transient")))
         assert record.status == "completed"
         assert record.retries == 2
         e2e = clean_record.service_s
-        expected = (2 * FAULT_ATTEMPT_FRACTION * e2e  # two dead attempts
-                    + 0.05 + 0.10                     # backoff doubles
-                    + e2e)
-        assert record.service_s == pytest.approx(expected, rel=1e-9)
+        held = (2 * FAULT_ATTEMPT_FRACTION * e2e  # two dead attempts
+                + 0.05 + 0.10)                    # backoff doubles
+        assert record.retry_held_s == pytest.approx(held, rel=1e-9)
+        assert record.service_s == pytest.approx(held + e2e, rel=1e-9)
 
     def test_retry_cap_exhausted_fails(self, clean_record):
-        record = run_one(
+        record = self.serve(
             FaultSpec(script=("transient",) * 5), max_retries=2)
         assert record.status == "failed"
         assert record.retries == 2  # the cap
@@ -148,28 +169,38 @@ class TestServiceRetries:
         e2e = clean_record.service_s
         expected = 3 * FAULT_ATTEMPT_FRACTION * e2e + 0.05 + 0.10
         assert record.service_s == pytest.approx(expected, rel=1e-9)
+        assert record.retry_held_s == pytest.approx(expected, rel=1e-9)
 
     def test_permanent_fault_never_retried(self, clean_record):
-        record = run_one(FaultSpec(script=("permanent",)), max_retries=5)
+        record = self.serve(FaultSpec(script=("permanent",)),
+                            max_retries=5)
         assert record.status == "failed"
         assert record.retries == 0
-        assert record.service_s == pytest.approx(
-            FAULT_ATTEMPT_FRACTION * clean_record.service_s, rel=1e-9)
+        expected = FAULT_ATTEMPT_FRACTION * clean_record.service_s
+        assert record.service_s == pytest.approx(expected, rel=1e-9)
+        assert record.retry_held_s == pytest.approx(expected, rel=1e-9)
 
     def test_retry_respects_deadline(self):
         # the first backoff period already crosses the deadline
-        record = run_one(FaultSpec(script=("transient",) * 5),
-                         max_retries=5, backoff=10.0, timeout=1.0)
+        record = self.serve(FaultSpec(script=("transient",) * 5),
+                            max_retries=5, backoff=10.0, timeout=1.0)
         assert record.status == "timeout"
+        assert record.retries == 0
         assert record.report is None
+        assert record.retry_held_s == record.service_s
 
     def test_submit_path_retries_too(self):
         svc = LlmService(DEVICE, admission=False,
                          fault_spec=FaultSpec(script=("transient",)),
-                         tiers=tiers())
+                         tiers=tiers(), batching=self.batching)
         record = svc.submit(MODEL, 512, 2, tier="interactive")
         assert record.status == "completed"
         assert record.retries == 1
+        assert not record.batched  # submit always serves per request
+
+
+class TestServiceRetriesStepLoop(TestServiceRetries):
+    batching = STEP_LOOP
 
 
 class TestZeroFaultIdentity:
