@@ -34,18 +34,22 @@ def show_and_archive(table, filename):
     Alongside the human-readable ``.txt``, every benchmark emits a
     machine-readable twin — ``results/json/BENCH_<stem>.json`` (schema
     ``repro.bench/v1``) with the table's numeric cells as directional
-    metrics — which ``llmnpu bench-compare`` gates CI on.
+    metrics — which ``llmnpu bench-compare`` gates CI on.  An all-text
+    table (no numeric cell) has no twin.
     """
     import os
 
     from repro.eval import archive, results_dir
-    from repro.obs import make_artifact
+    from repro.obs import make_artifact, metrics_from_table
 
     print()
     print(table.render())
     path = archive(table, filename)
     print(f"[archived: {path}]")
     stem = os.path.splitext(os.path.basename(filename))[0]
+    if not metrics_from_table(table):
+        print(f"[artifact skipped: {stem} has no numeric cells]")
+        return
     artifact = make_artifact(stem, table)
     json_path = artifact.save(
         os.path.join(results_dir(), "json", f"BENCH_{stem}.json")

@@ -284,16 +284,15 @@ class LlmNpuEngine:
         return decode_latency_s(self.model, proc, prompt_tokens,
                                 output_tokens, options)
 
-    def check_fault(self, now_s: float = 0.0) -> None:
+    def check_fault(self) -> None:
         """Consume one fault draw for an execution attempt.
 
         Raises :class:`~repro.errors.TransientEngineError` or
         :class:`~repro.errors.PermanentEngineError` when the attached
         injector scripts a fault for this attempt; a no-op otherwise.
-        ``now_s`` only timestamps the injector's trace event.
         """
         if self.fault_injector is not None:
-            self.fault_injector.check(now_s=now_s)
+            self.fault_injector.check()
 
     def infer(self, prompt_tokens: int,
               output_tokens: int = 0,
@@ -304,7 +303,7 @@ class LlmNpuEngine:
         execution attempt and may raise a typed engine error instead of
         returning a report.
         """
-        self.check_fault(now_s=self._trace_clock_s)
+        self.check_fault()
         prefill = self.prefill(prompt_tokens, cached_tokens)
         total_context = cached_tokens + prompt_tokens
         decode_s = self.decode(total_context, output_tokens)

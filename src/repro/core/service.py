@@ -66,11 +66,7 @@ from repro.core.scheduler import (
     StepRecord,
     assemble_step,
 )
-from repro.errors import (
-    EngineError,
-    PermanentEngineError,
-    TransientEngineError,
-)
+from repro.errors import EngineError
 from repro.graph.chunk import chunk_token_lengths
 from repro.graph.memory_plan import kv_cache_bytes
 from repro.hw.sim import FaultInjector, FaultSpec
@@ -80,6 +76,9 @@ from repro.obs.metrics import MetricsRegistry, as_registry
 from repro.obs.steplog import Decision
 from repro.obs.tracer import Tracer, as_tracer
 from repro.workloads.datasets import WorkloadSample
+
+#: The hooks a sink may define (see :meth:`LlmService.subscribe`).
+SINK_HOOKS = ("on_record", "on_step", "on_decision", "on_fault")
 
 #: Fraction of a request's estimated service time a *failed* execution
 #: attempt consumes before the fault surfaces (the graph dies part-way
@@ -404,8 +403,6 @@ class LlmService:
         self.metrics_registry = as_registry(metrics)
         self.fault_injector = (FaultInjector(fault_spec)
                                if fault_spec is not None else None)
-        if self.fault_injector is not None and self.tracer.enabled:
-            self.fault_injector.attach_tracer(self.tracer)
         self._engines: Dict[str, LlmNpuEngine] = {}
         self._prepared: Dict[str, float] = {}
         self._clocks: Dict[str, float] = {}
@@ -413,8 +410,7 @@ class LlmService:
         self._pending: Dict[str, List[ServiceRequest]] = {}
         self._cancelled: set = set()
         self._est_cache: Dict[Tuple, InferenceReport] = {}
-        self._observers: List = []
-        self._step_observers: List = []
+        self._sinks: Dict[str, List] = {hook: [] for hook in SINK_HOOKS}
         self._next_id = 0
 
     # -- engine lifecycle -----------------------------------------------------
@@ -501,9 +497,8 @@ class LlmService:
 
     # -- execution ------------------------------------------------------------
 
-    def _attempt(self, engine: LlmNpuEngine, req: ServiceRequest,
-                 est: InferenceReport, dispatch_s: float
-                 ) -> Tuple[Optional[str], int, float]:
+    def _attempt(self, req: ServiceRequest, est: InferenceReport,
+                 dispatch_s: float) -> Tuple[Optional[str], int, float]:
         """Fault/retry prelude of one dispatch (both serving loops).
 
         The engine is held from ``dispatch_s`` (mobile NPUs don't
@@ -515,9 +510,11 @@ class LlmService:
         permanent fault or past the retry cap, and ``timeout`` when the
         retries ran past the deadline.
 
-        Tracing (when enabled) is strictly observational: spans are
-        emitted alongside the clock arithmetic, never folded into it,
-        so the outcome is identical with tracing on or off.
+        Each consumed fault draw is observed here and only here: a
+        ``fault.<kind|ok>`` instant on the ``service / faults`` track and
+        the ``on_fault`` sinks.  Tracing and sinks are strictly
+        observational: they run alongside the clock arithmetic, never
+        folded into it, so the outcome is identical with them on or off.
         """
         tr = self.tracer
         track = request_track(req.request_id)
@@ -525,17 +522,22 @@ class LlmService:
             tr.span("queued", proc="service", thread=track,
                     start_s=req.arrival_s, end_s=dispatch_s, cat="queue",
                     tier=req.tier.name)
+        injector = self.fault_injector
+        if injector is None:
+            return None, 1, dispatch_s
         now = dispatch_s
         attempts = 0
         while True:
             attempts += 1
-            try:
-                engine.check_fault(now_s=now)
-            except TransientEngineError:
-                kind = "transient"
-            except PermanentEngineError:
-                kind = "permanent"
-            else:
+            kind = injector.draw()
+            draw = injector.n_draws - 1
+            if tr.enabled:
+                tr.instant(f"fault.{kind or 'ok'}", proc="service",
+                           thread="faults", ts_s=now, cat="fault",
+                           draw=draw, kind=kind or "ok")
+            for on_fault in self._sinks["on_fault"]:
+                on_fault(draw, kind, now)
+            if kind is None:
                 return None, attempts, now
             self.metrics_registry.counter("service_faults_total",
                                           kind=kind).inc()
@@ -562,7 +564,7 @@ class LlmService:
         :meth:`_attempt`; the engine is held until the returned record's
         ``finish_s``."""
         est = self._estimate(engine, req)
-        status, attempts, now = self._attempt(engine, req, est, dispatch_s)
+        status, attempts, now = self._attempt(req, est, dispatch_s)
         if status is not None:
             return _gave_up(req, dispatch_s, status, attempts, now,
                             batched=False)
@@ -628,63 +630,48 @@ class LlmService:
                 tier=req.tier.name, output_tokens=req.output_tokens,
             )
 
-    def add_observer(self, observer) -> None:
-        """Register a streaming consumer of finished request records.
+    def subscribe(self, sink) -> None:
+        """Register ``sink`` on the service's observation stream.
 
-        ``observer`` is called as ``observer(record)`` with every
-        :class:`ServedRequest` the service finalizes (all terminal
-        statuses, both serving paths), synchronously at the point the
-        record is folded into the live metrics.  Observation is strictly
-        read-only: observers receive the frozen record after all clock
-        arithmetic is done, so attaching any number of them leaves the
-        served results byte-identical (the same no-op guarantee tracing
-        makes).  This is the hook the SLO monitors
-        (:class:`~repro.obs.monitor.SloMonitor`) ride on.
+        A sink defines any of four hooks, bound once here:
+
+        * ``on_record(record)`` — every :class:`ServedRequest` the
+          service finalizes (all terminal statuses, both serving paths);
+        * ``on_step(step)`` — every executed
+          :class:`~repro.core.scheduler.StepRecord` of the step loop;
+        * ``on_decision(decision)`` — every typed
+          :class:`~repro.obs.steplog.Decision` (admissions, dispatches,
+          per-step chunk/decode scheduling and skips, terminal statuses
+          — see :data:`~repro.obs.steplog.DECISION_ACTIONS`);
+        * ``on_fault(draw, kind, now_s)`` — every fault draw an
+          execution attempt consumes (``kind`` is ``None`` for a clean
+          draw); estimation draws are suspended and reach nobody.
+
+        Observation is strictly read-only: sinks receive frozen records
+        after all clock arithmetic is done, so subscribing any number of
+        them leaves the served results byte-identical.  A hook no sink
+        defines costs nothing — no :class:`Decision` is even built.
         """
-        if not callable(observer):
-            raise EngineError("observer must be callable")
-        self._observers.append(observer)
-
-    def add_step_observer(self, observer) -> None:
-        """Register a consumer of the scheduler's step telemetry.
-
-        ``observer`` is duck-typed: its optional ``on_step(record)``
-        receives every executed
-        :class:`~repro.core.scheduler.StepRecord` and its optional
-        ``on_decision(decision)`` every typed
-        :class:`~repro.obs.steplog.Decision` (admissions, dispatches,
-        per-step chunk/decode scheduling and skips, terminal statuses —
-        see :data:`~repro.obs.steplog.DECISION_ACTIONS`).  Like
-        :meth:`add_observer` this is strictly read-only, and with no
-        step observers attached the serving paths do no telemetry work
-        at all — golden artifacts stay byte-identical either way.
-        """
-        if not (callable(getattr(observer, "on_step", None))
-                or callable(getattr(observer, "on_decision", None))):
+        hooks = {hook: getattr(sink, hook) for hook in SINK_HOOKS
+                 if hasattr(sink, hook)}
+        if not hooks or not all(map(callable, hooks.values())):
             raise EngineError(
-                "step observer must define on_step() or on_decision()")
-        self._step_observers.append(observer)
+                "sink must define callable hooks among "
+                + ", ".join(SINK_HOOKS))
+        for hook, fn in hooks.items():
+            self._sinks[hook].append(fn)
 
     def _emit_decision(self, t_s: float, request_id: int, tier: str,
                        action: str, step: Optional[int] = None,
                        quantity: Optional[str] = None,
                        value: Optional[float] = None,
                        limit: Optional[float] = None) -> None:
-        """Fan one scheduler decision out to the step observers."""
+        """Fan one scheduler decision out to the ``on_decision`` sinks."""
         decision = Decision(t_s=t_s, request_id=request_id, tier=tier,
                             action=action, step=step, quantity=quantity,
                             value=value, limit=limit)
-        for observer in self._step_observers:
-            fn = getattr(observer, "on_decision", None)
-            if callable(fn):
-                fn(decision)
-
-    def _emit_step(self, record: StepRecord) -> None:
-        """Fan one executed step out to the step observers."""
-        for observer in self._step_observers:
-            fn = getattr(observer, "on_step", None)
-            if callable(fn):
-                fn(record)
+        for on_decision in self._sinks["on_decision"]:
+            on_decision(decision)
 
     def _observe(self, record: ServedRequest) -> None:
         """Fold one finished record into the live metrics registry."""
@@ -705,14 +692,14 @@ class LlmService:
             if record.itl_s is not None:
                 reg.histogram("service_itl_s",
                               tier=record.tier).observe(record.itl_s)
-        if self._step_observers:
+        if self._sinks["on_decision"]:
             self._emit_decision(
                 record.finish_s, record.request_id, record.tier,
                 record.status, quantity="turnaround_s",
                 value=record.turnaround_s,
             )
-        for observer in self._observers:
-            observer(record)
+        for on_record in self._sinks["on_record"]:
+            on_record(record)
 
     # -- synchronous serving (legacy path) ------------------------------------
 
@@ -888,7 +875,7 @@ class LlmService:
                         tier=req.tier.name, projected_wait_s=wait,
                         slo_s=req.tier.slo_queueing_s,
                     )
-                if self._step_observers:
+                if self._sinks["on_decision"]:
                     self._emit_decision(
                         req.arrival_s, req.request_id, req.tier.name,
                         "admission-rejected",
@@ -906,7 +893,7 @@ class LlmService:
                     ts_s=req.arrival_s, cat="admission",
                     tier=req.tier.name, projected_wait_s=wait,
                 )
-        if self._step_observers:
+        if self._sinks["on_decision"]:
             self._emit_decision(
                 req.arrival_s, req.request_id, req.tier.name, "admitted",
                 quantity="projected_wait_s", value=wait,
@@ -955,7 +942,7 @@ class LlmService:
                 req = self._pop_live(queue, free_s, new_records)
                 if req is None:
                     continue
-                if self._step_observers:
+                if self._sinks["on_decision"]:
                     self._emit_decision(
                         free_s, req.request_id, req.tier.name,
                         "dispatched", quantity="queueing_s",
@@ -989,7 +976,7 @@ class LlmService:
         the engine was held until ``now`` either way.
         """
         est = self._estimate(engine, req)
-        status, attempts, now = self._attempt(engine, req, est, dispatch_s)
+        status, attempts, now = self._attempt(req, est, dispatch_s)
         if status is not None:
             return None, _gave_up(req, dispatch_s, status, attempts, now,
                                   batched=True), now
@@ -1130,7 +1117,7 @@ class LlmService:
                                        for s in inflight)
                         if reserved + projected > bcfg.kv_budget_bytes:
                             kv_blocked_id = head.request_id
-                            if self._step_observers:
+                            if self._sinks["on_decision"]:
                                 self._emit_decision(
                                     now, head.request_id, head.tier.name,
                                     "kv-deferred",
@@ -1150,7 +1137,7 @@ class LlmService:
                         continue
                     inflight.append(state)
                     open_reqs[req.request_id] = req
-                    if self._step_observers:
+                    if self._sinks["on_decision"]:
                         self._emit_decision(
                             state.dispatch_s, req.request_id,
                             req.tier.name, "started",
@@ -1163,7 +1150,7 @@ class LlmService:
                     bool(queue) and kv_blocked_id is None
                     and bcfg.max_concurrency is not None
                     and len(inflight) >= bcfg.max_concurrency)
-                if concurrency_full and self._step_observers:
+                if concurrency_full and self._sinks["on_decision"]:
                     head = queue.peek()
                     self._emit_decision(
                         now, head.request_id, head.tier.name,
@@ -1192,7 +1179,7 @@ class LlmService:
                 for entry in queue:
                     tier_depths[entry.tier.name] = (
                         tier_depths.get(entry.tier.name, 0) + 1)
-                if self._step_observers:
+                if self._sinks["on_decision"]:
                     scheduled = {(it.request_id, it.kind)
                                  for it in items}
                     for it in items:
@@ -1278,8 +1265,8 @@ class LlmService:
                     budget_tokens=bcfg.max_batch_tokens,
                     kv_budget_bytes=bcfg.kv_budget_bytes,
                 ))
-                if self._step_observers:
-                    self._emit_step(self._steps[-1])
+                for on_step in self._sinks["on_step"]:
+                    on_step(self._steps[-1])
                 if finished_at:
                     inflight = [s for s in inflight
                                 if s.request_id not in finished_at]

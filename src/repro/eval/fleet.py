@@ -597,15 +597,6 @@ def fleet_golden_json(seed: int = 42, workers: int = 1) -> str:
                                    workers=workers), sort_keys=True)
 
 
-def fleet_alerts_json(seed: int = 42,
-                      indent: Optional[int] = None) -> str:
-    """The default fleet's merged ``repro.alerts/v1`` document (legacy
-    seeding, matching the golden report)."""
-    specs = default_fleet(seed=seed, seeding="legacy")
-    report = fleet_report(specs=specs, seed=seed)
-    return json.dumps(report["alerts"], indent=indent, sort_keys=True)
-
-
 # -- the seeded fault-storm scenario (the `monitor` subcommand) ---------------
 
 def fault_storm_monitor(seed: int = 42, transient_rate: float = 0.35,

@@ -70,11 +70,9 @@ class FaultInjector:
     fires — the service layer uses this for cost *estimation* runs that
     must not perturb the fault stream.
 
-    With a :class:`~repro.obs.tracer.Tracer` attached (see
-    :meth:`attach_tracer`), every consumed draw becomes an instant event
-    on the ``service / faults`` track, stamped with the sim-clock time
-    the caller passes to :meth:`check` — tracing observes the draw
-    stream without perturbing it.
+    The injector knows nothing of who observes its draws: the serving
+    layer (:meth:`~repro.core.service.LlmService._attempt`) is the one
+    place a consumed draw is traced and handed to subscribed sinks.
     """
 
     def __init__(self, spec: Optional[FaultSpec] = None):
@@ -83,33 +81,8 @@ class FaultInjector:
         self._n_draws = 0
         self._n_injected: Dict[str, int] = {"transient": 0, "permanent": 0}
         self._suspend_depth = 0
-        self._tracer = None
-        self._trace_track = ("service", "faults")
-        self._listeners: List = []
 
-    def attach_tracer(self, tracer, proc: str = "service",
-                      thread: str = "faults") -> None:
-        """Mirror every consumed draw onto ``tracer`` as instant events."""
-        self._tracer = tracer if tracer is not None and tracer.enabled \
-            else None
-        self._trace_track = (proc, thread)
-
-    def add_listener(self, listener) -> None:
-        """Register a draw-stream consumer.
-
-        ``listener`` is called as ``listener(index, kind, now_s)`` for
-        every *consumed* draw (``kind`` is ``None`` for a clean draw);
-        suspended checks consume nothing and notify nobody, so cost
-        estimation stays invisible.  Listeners observe after the draw is
-        fully decided — they cannot perturb the fault stream.  This is
-        the hook SLO monitors use to cross-link alert windows to
-        injected faults.
-        """
-        if not callable(listener):
-            raise SchedulingError("fault listener must be callable")
-        self._listeners.append(listener)
-
-    def draw(self, now_s: float = 0.0) -> Optional[str]:
+    def draw(self) -> Optional[str]:
         """One fault draw: ``None``, ``'transient'`` or ``'permanent'``."""
         if self._suspend_depth > 0:
             return None
@@ -128,24 +101,11 @@ class FaultInjector:
                 kind = None
         if kind is not None:
             self._n_injected[kind] += 1
-        if self._tracer is not None:
-            proc, thread = self._trace_track
-            self._tracer.instant(
-                f"fault.{kind or 'ok'}", proc=proc, thread=thread,
-                ts_s=now_s, cat="fault", draw=index,
-                kind=kind or "ok",
-            )
-        for listener in self._listeners:
-            listener(index, kind, now_s)
         return kind
 
-    def check(self, now_s: float = 0.0) -> None:
-        """Raise the typed error for this execution attempt, if any.
-
-        ``now_s`` is the caller's sim-clock time, used only to timestamp
-        the trace event for this draw.
-        """
-        kind = self.draw(now_s)
+    def check(self) -> None:
+        """Raise the typed error for this execution attempt, if any."""
+        kind = self.draw()
         if kind == "transient":
             raise TransientEngineError(
                 f"injected transient engine fault (draw #{self._n_draws})"

@@ -105,22 +105,30 @@ def _slug(text: str) -> str:
     return slug.strip("_")
 
 
+def _row_label(row, i: int, with_ints: bool = False) -> str:
+    if not any(isinstance(c, str) for c in row):
+        return _slug(str(row[0])) if row and row[0] is not None else f"row{i}"
+    return _slug("_".join(
+        str(c) for c in row if isinstance(c, str)
+        or (with_ints and isinstance(c, int) and not isinstance(c, bool))))
+
+
 def metrics_from_table(table) -> Dict[str, dict]:
     """Extract named metrics from a :class:`~repro.eval.report.Table`.
 
     Each numeric cell becomes one metric ``<row_label>.<column>`` where
-    the row label joins the row's string cells (the key columns).
-    All-numeric rows are labelled by their first cell (the sweep key).
+    the row label joins the row's key cells.  The key cells are the
+    row's string cells; rows whose string cells repeat within the table
+    (one configuration swept over several sizes) also join their integer
+    cells, the sweep keys.  All-numeric rows are labelled by their first
+    cell.
     """
+    labels = [_row_label(row, i) for i, row in enumerate(table.rows)]
+    repeated = {label for label in labels if labels.count(label) > 1}
     metrics: Dict[str, dict] = {}
     for i, row in enumerate(table.rows):
-        keys = [str(c) for c in row if isinstance(c, str)]
-        if keys:
-            label = _slug("_".join(keys))
-        elif row and row[0] is not None:
-            label = _slug(str(row[0]))
-        else:
-            label = f"row{i}"
+        label = (_row_label(row, i, True) if labels[i] in repeated
+                 else labels[i])
         for column, cell in zip(table.columns, row):
             if isinstance(cell, bool) or not isinstance(cell, (int, float)):
                 continue
@@ -186,7 +194,9 @@ def make_artifact(name: str, tables,
     """Build an artifact from one or more result tables.
 
     Metric ids from multiple tables are namespaced by a slug of each
-    table's title to keep them collision-free.
+    table's title to keep them collision-free.  Tables without a
+    numeric cell make no artifact: ``bench-compare`` would have nothing
+    to gate.
     """
     if not isinstance(tables, (list, tuple)):
         tables = [tables]
@@ -203,6 +213,8 @@ def make_artifact(name: str, tables,
                     f"artifact {name!r}: duplicate metric {full_id!r}"
                 )
             metrics[full_id] = record
+    if not metrics:
+        raise ArtifactError(f"artifact {name!r}: tables hold no metrics")
     return BenchArtifact(
         name=name, metrics=metrics,
         env=capture_env() if env is None else dict(env),

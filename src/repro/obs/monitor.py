@@ -2,12 +2,11 @@
 
 Everything in ``repro.obs`` so far is post-hoc: metrics and traces are
 read *after* :meth:`~repro.core.service.LlmService.run` returns.  This
-module watches the service's live completion stream instead — the
-observation hook (:meth:`LlmService.add_observer`) delivers every
+module watches the service's live observation stream instead — a
+monitor subscribed with :meth:`LlmService.subscribe` receives every
 finished :class:`~repro.core.service.ServedRequest` as it is recorded,
-and :meth:`~repro.hw.sim.FaultInjector.add_listener` mirrors every
-consumed fault draw — and evaluates declarative SLOs against rolling
-sim-clock windows.
+every consumed fault draw, and the step loop's steps and decisions —
+and evaluates declarative SLOs against rolling sim-clock windows.
 
 The moving parts:
 
@@ -341,8 +340,8 @@ class _RuleState:
 class SloMonitor:
     """Streaming SLO evaluation over a service's completion stream.
 
-    Attach with :meth:`attach` (registers the service observer hook and
-    the fault-draw listener), or feed events directly through
+    Attach with :meth:`attach` (subscribes the monitor to the service's
+    observation stream), or feed events directly through
     :meth:`observe_request` / :meth:`observe_fault`.  The monitor also
     maintains per-``(metric, tier)`` :class:`QuantileSketch`es —
     the mergeable telemetry a fleet aggregates (see
@@ -392,8 +391,7 @@ class SloMonitor:
         return sketch
 
     def observe_request(self, record) -> None:
-        """Streaming consumer of finished ``ServedRequest`` records
-        (the callable :meth:`LlmService.add_observer` expects)."""
+        """Streaming consumer of finished ``ServedRequest`` records."""
         energy = (record.report.energy_j
                   if record.report is not None else 0.0)
         event = RequestEvent(
@@ -415,7 +413,8 @@ class SloMonitor:
 
     def observe_fault(self, draw: int, kind: Optional[str],
                       now_s: float) -> None:
-        """Fault-draw listener (:meth:`FaultInjector.add_listener`)."""
+        """Streaming consumer of consumed fault draws (``kind`` is
+        ``None`` for a clean draw, which is not recorded)."""
         if kind is not None:
             self._faults.append(FaultEvent(t_s=now_s, draw=draw,
                                            kind=kind))
@@ -491,22 +490,24 @@ class SloMonitor:
         self._decision_counts[action] = \
             self._decision_counts.get(action, 0) + 1
 
-    # Step-observer protocol (duck-typed by
-    # ``LlmService.add_step_observer`` and ``StepLogger``): the monitor
-    # listens on both channels under its ``observe_*`` names.
+    # Sink hooks (see ``LlmService.subscribe``): the monitor listens on
+    # every channel under its ``observe_*`` names.
+    def on_record(self, record) -> None:
+        self.observe_request(record)
+
     def on_step(self, record) -> None:
         self.observe_step(record)
 
     def on_decision(self, decision) -> None:
         self.observe_decision(decision)
 
+    def on_fault(self, draw: int, kind: Optional[str],
+                 now_s: float) -> None:
+        self.observe_fault(draw, kind, now_s)
+
     def attach(self, service) -> "SloMonitor":
-        """Register this monitor on a service's streaming hooks."""
-        service.add_observer(self.observe_request)
-        if hasattr(service, "add_step_observer"):
-            service.add_step_observer(self)
-        if service.fault_injector is not None:
-            service.fault_injector.add_listener(self.observe_fault)
+        """Subscribe this monitor to a service's observation stream."""
+        service.subscribe(self)
         return self
 
     @property

@@ -4,9 +4,9 @@ The step loop (:meth:`~repro.core.service.LlmService._run_step_loop`)
 makes its interesting choices *between* the spans the tracer records:
 which queued request starts, which decoder rotates out of an
 over-subscribed step, which prefill chunk the token budget cuts off.
-This module captures those choices through the service's PR-4-style
-step-observer hook (:meth:`~repro.core.service.LlmService
-.add_step_observer`) as two synchronized streams:
+This module captures those choices through the service's observation
+stream (:meth:`~repro.core.service.LlmService.subscribe`) as two
+synchronized streams:
 
 * :class:`~repro.core.scheduler.StepRecord` — one per executed
   sim-clock step, now carrying the queue snapshot that governed its
@@ -19,8 +19,8 @@ step-observer hook (:meth:`~repro.core.service.LlmService
 A :class:`StepLogger` folds both (plus the finished-request stream)
 into a self-contained ``repro.steps/v1`` document that
 ``obs/explain.py`` can replay offline.  Observation is strictly a
-no-op: with no step observers attached the service emits nothing and
-does no extra work, so golden snapshot/trace/profile artifacts stay
+no-op: with no sink subscribed the service emits nothing and does no
+extra work, so golden snapshot/trace/profile artifacts stay
 byte-identical (``scripts/check_determinism.sh`` enforces this).
 """
 
@@ -183,8 +183,7 @@ class StepLogger:
         doc = logger.to_dict()          # repro.steps/v1
 
     The logger is a passive sink — it never mutates the service, and a
-    run with it attached serves byte-identical records (the PR-4
-    observation guarantee).
+    run with it attached serves byte-identical records.
     """
 
     def __init__(self, source: str = "service"):
@@ -195,13 +194,12 @@ class StepLogger:
         self.batching = None
 
     def attach(self, service) -> "StepLogger":
-        """Register on a service's step + record observer hooks."""
-        service.add_step_observer(self)
-        service.add_observer(self.on_record)
+        """Subscribe to a service's observation stream."""
+        service.subscribe(self)
         self.batching = service.batching
         return self
 
-    # -- observer hooks (called by the service) -------------------------------
+    # -- sink hooks (called by the service) -----------------------------------
 
     def on_step(self, record) -> None:
         self.steps.append(record)

@@ -80,6 +80,21 @@ class TestMetricsFromTable:
         with pytest.raises(ArtifactError):
             metrics_from_table(table)
 
+    def test_repeated_string_keys_join_integer_sweep_keys(self):
+        # Fig. 18's shape: each coordination mode swept over prompts
+        table = Table(title="fig18", columns=["coordination", "prompt",
+                                              "prefill tok/s", "e2e s"])
+        table.add_row("CPU-NPU", 256, 553.3, 2.95)
+        table.add_row("CPU-NPU", 512, 643.6, 3.31)
+        table.add_row("GPU-NPU", 256, 576.3, 1.92)
+        table.add_row("GPU-NPU", 512, 647.3, 2.28)
+        metrics = metrics_from_table(table)
+        assert metrics["cpu_npu_256.prefill_tok_s"]["value"] == 553.3
+        assert metrics["cpu_npu_512.prefill_tok_s"]["value"] == 643.6
+        assert metrics["gpu_npu_512.e2e_s"]["value"] == 2.28
+        assert metrics["gpu_npu_256.prompt"]["value"] == 256.0
+        assert len(metrics) == 4 * 3
+
     def test_bools_and_strings_skipped(self):
         table = Table(title="t", columns=["name", "ok", "n"])
         table.add_row("a", True, 3)
@@ -108,6 +123,12 @@ class TestArtifactIO:
     def test_no_tables_rejected(self):
         with pytest.raises(ArtifactError):
             make_artifact("empty", [])
+
+    def test_all_text_tables_rejected(self):
+        table = Table(title="dashboard", columns=["claim", "status"])
+        table.add_row("Fig. 14", "ok")
+        with pytest.raises(ArtifactError, match="no metrics"):
+            make_artifact("dashboard", table)
 
     def test_env_is_string_valued(self):
         env = capture_env()

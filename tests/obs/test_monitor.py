@@ -164,35 +164,77 @@ class TestObservationHooks:
         assert total == n_completed
 
     def test_fault_listener_sees_only_injected_draws(self):
-        from repro.hw.sim import FaultInjector, FaultSpec
+        from repro.core import EngineConfig, LlmService
+        from repro.hw.sim import FaultSpec
         monitor = SloMonitor([AVAIL])
-        injector = FaultInjector(FaultSpec(
-            script=(None, "transient", None, "permanent")))
-        injector.add_listener(monitor.observe_fault)
-        for t in range(4):
-            injector.draw(now_s=float(t))
+        service = LlmService("Redmi K70 Pro", EngineConfig(),
+                             fault_spec=FaultSpec(
+                                 script=(None, "transient", None,
+                                         "permanent")))
+        monitor.attach(service)
+        for _ in range(3):
+            service.submit("Qwen1.5-1.8B", 64, 2)
+        assert service.fault_injector.n_draws == 4
         assert monitor.n_faults == 2
-        assert [f.kind for f in monitor._faults] == ["transient",
-                                                     "permanent"]
+        assert [(f.draw, f.kind) for f in monitor._faults] == [
+            (1, "transient"), (3, "permanent")]
 
     def test_suspended_draws_notify_nobody(self):
-        from repro.hw.sim import FaultInjector, FaultSpec
+        from repro.core import EngineConfig, LlmService
+        from repro.hw.sim import FaultSpec
         monitor = SloMonitor([AVAIL])
-        injector = FaultInjector(FaultSpec(transient_rate=1.0))
-        injector.add_listener(monitor.observe_fault)
-        with injector.suspended():
-            injector.draw(now_s=0.0)
-        assert monitor.n_faults == 0
+        service = LlmService("Redmi K70 Pro", EngineConfig(),
+                             fault_spec=FaultSpec(transient_rate=1.0))
+        monitor.attach(service)
+        # admission estimates every queued request with draws suspended
+        for _ in range(3):
+            service.enqueue("Qwen1.5-1.8B", 64, 2, arrival_s=0.0)
+        records = service.run()
+        attempts = sum(r.retries + 1 for r in records
+                       if r.status == "failed")
+        assert attempts > 0
+        assert service.fault_injector.n_draws == attempts
+        assert monitor.n_faults == attempts
 
     def test_non_callable_hooks_rejected(self):
         from repro.core import EngineConfig, LlmService
-        from repro.errors import EngineError, SchedulingError
-        from repro.hw.sim import FaultInjector
+        from repro.errors import EngineError
+
+        class NotCallable:
+            on_record = "not callable"
+
         service = LlmService("Redmi K70 Pro", EngineConfig())
-        with pytest.raises(EngineError, match="callable"):
-            service.add_observer("not callable")
-        with pytest.raises(SchedulingError, match="callable"):
-            FaultInjector().add_listener(42)
+        with pytest.raises(EngineError, match="callable hooks"):
+            service.subscribe(object())
+        with pytest.raises(EngineError, match="callable hooks"):
+            service.subscribe(NotCallable())
+
+    def test_sink_sees_every_consumed_draw_in_order(self):
+        from repro.core import EngineConfig, LlmService
+        from repro.hw.sim import FaultSpec
+
+        class FaultSink:
+            def __init__(self):
+                self.draws = []
+
+            def on_fault(self, draw, kind, now_s):
+                self.draws.append((draw, kind, now_s))
+
+        script = ("transient", None, "permanent", None, "transient")
+        service = LlmService("Redmi K70 Pro", EngineConfig(),
+                             fault_spec=FaultSpec(script=script))
+        sink = FaultSink()
+        service.subscribe(sink)
+        for _ in range(3):
+            service.submit("Qwen1.5-1.8B", 64, 2)
+        # three requests consume four draws: retry, success, permanent
+        # failure, success; the fifth scripted draw is never taken
+        n = service.fault_injector.n_draws
+        assert n == 4
+        assert [(d, k) for d, k, _ in sink.draws] == [
+            (i, script[i]) for i in range(n)]
+        times = [t for _, _, t in sink.draws]
+        assert times == sorted(times)
 
 
 class TestTimelineValidation:
