@@ -10,11 +10,9 @@ under a wall-clock budget and bench-compares the artifact against the
 committed golden.
 """
 
-import os
+from conftest import run_once, save_artifact
 
-from conftest import run_once
-
-from repro.eval import archive, results_dir
+from repro.eval import archive
 from repro.eval.simbench import (
     SIM_SPEEDUP_FLOOR,
     min_gated_sim_speedup,
@@ -31,11 +29,7 @@ def test_sim_speed(benchmark):
         print()
         print(table.render())
         print(f"[archived: {archive(table, filename)}]")
-    artifact = make_artifact("sim_speed", [sim, quant, fleet])
-    json_path = artifact.save(
-        os.path.join(results_dir(), "json", "BENCH_sim_speed.json")
-    )
-    print(f"[artifact: {json_path}]")
+    save_artifact(make_artifact("sim_speed", [sim, quant, fleet]))
 
     # ACCEPTANCE: the vectorized dispatcher must beat the reference by
     # the contract floor on every gated scenario, with identical traces

@@ -28,6 +28,26 @@ def once(benchmark):
     return _run
 
 
+def save_artifact(artifact):
+    """Write ``results/json/BENCH_<name>.json`` unless the file there
+    already holds the same metrics: its ``env`` (git SHA, python) is
+    provenance only, so a rerun that changes no metric leaves a
+    committed artifact untouched."""
+    import os
+
+    from repro.eval import results_dir
+    from repro.obs import BENCH_SCHEMA, load_doc, save_doc
+
+    path = os.path.join(results_dir(), "json", f"BENCH_{artifact.name}.json")
+    doc = artifact.to_dict()
+    if (os.path.exists(path)
+            and load_doc(path, BENCH_SCHEMA)["metrics"] == doc["metrics"]):
+        print(f"[artifact unchanged: {path}]")
+        return
+    save_doc(path, doc)
+    print(f"[artifact: {path}]")
+
+
 def show_and_archive(table, filename):
     """Print a regenerated table and archive it under benchmarks/results.
 
@@ -39,7 +59,7 @@ def show_and_archive(table, filename):
     """
     import os
 
-    from repro.eval import archive, results_dir
+    from repro.eval import archive
     from repro.obs import make_artifact, metrics_from_table
 
     print()
@@ -50,8 +70,4 @@ def show_and_archive(table, filename):
     if not metrics_from_table(table):
         print(f"[artifact skipped: {stem} has no numeric cells]")
         return
-    artifact = make_artifact(stem, table)
-    json_path = artifact.save(
-        os.path.join(results_dir(), "json", f"BENCH_{stem}.json")
-    )
-    print(f"[artifact: {json_path}]")
+    save_artifact(make_artifact(stem, table))

@@ -54,6 +54,7 @@ from repro.eval import (
     table5_e2e,
     table6_accuracy,
 )
+from repro.obs.validate import save_doc
 
 #: Experiment id -> (description, zero-arg driver returning Table(s)).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -258,7 +259,7 @@ def cmd_infer(args) -> int:
         reg.histogram("infer_decode_s").observe(report.decode_latency_s)
         reg.gauge("infer_npu_bubble_rate").set(
             report.prefill.npu_bubble_rate)
-        reg.save(args.metrics_out)
+        save_doc(args.metrics_out, reg.to_dict())
         print(f"[metrics written to {args.metrics_out}]")
     return 0
 
@@ -290,7 +291,7 @@ def cmd_trace(args) -> int:
                         metrics=service.metrics_registry)
         print(f"[JSONL event log: {n} records -> {args.jsonl_out}]")
     if args.metrics_out:
-        service.metrics_registry.save(args.metrics_out)
+        save_doc(args.metrics_out, service.metrics_registry.to_dict())
         print(f"[metrics snapshot -> {args.metrics_out}]")
     print()
     print(breakdown_table(service.requests).render())
@@ -362,33 +363,23 @@ def cmd_profile(args) -> int:
             flamegraph, key=lambda line: -int(line.rsplit(" ", 1)[1])
         )[:args.top]
     if args.profile_out:
-        report.save(args.profile_out)
-        print(f"[profile report ({len(report.to_json())} bytes) -> "
-              f"{args.profile_out}]")
+        import os
+        save_doc(args.profile_out, report.to_dict())
+        print(f"[profile report ({os.path.getsize(args.profile_out)} "
+              f"bytes) -> {args.profile_out}]")
     if args.flamegraph_out:
-        _write_text(args.flamegraph_out, "\n".join(flamegraph))
+        from repro.obs import open_text
+        with open_text(args.flamegraph_out, "w") as f:
+            f.write("\n".join(flamegraph) + "\n")
         print(f"[flamegraph: {len(flamegraph)} stacks -> "
               f"{args.flamegraph_out}]")
     return 0
-
-
-def _write_text(path: str, text: str) -> None:
-    import os
-
-    from repro.obs.export import open_text
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open_text(path, "w") as f:
-        f.write(text)
-        if not text.endswith("\n"):
-            f.write("\n")
 
 
 def cmd_fleet(args) -> int:
     """Simulate a heterogeneous device fleet under SLO monitoring and
     aggregate the mergeable telemetry: fleet percentiles, compliance,
     and the merged incident timeline."""
-    import json
-
     from repro.eval import (
         default_fleet,
         fleet_compliance_table,
@@ -414,12 +405,10 @@ def cmd_fleet(args) -> int:
         print(table.render())
         print()
     if args.report_out:
-        _write_text(args.report_out,
-                    json.dumps(report, indent=2, sort_keys=True))
+        save_doc(args.report_out, report)
         print(f"[fleet report (repro.fleet/v1) -> {args.report_out}]")
     if args.alerts_out:
-        _write_text(args.alerts_out,
-                    json.dumps(report["alerts"], indent=2, sort_keys=True))
+        save_doc(args.alerts_out, report["alerts"])
         print(f"[incident timeline (repro.alerts/v1) -> "
               f"{args.alerts_out}]")
     return 0
@@ -455,8 +444,7 @@ def cmd_monitor(args) -> int:
     print(incident_table(
         doc, title=f"Incident timeline (seed={args.seed})").render())
     if args.alerts_out:
-        _write_text(args.alerts_out,
-                    monitor.timeline_json(indent=2))
+        save_doc(args.alerts_out, doc)
         print(f"\n[incident timeline (repro.alerts/v1) -> "
               f"{args.alerts_out}]")
     return 0
@@ -464,11 +452,11 @@ def cmd_monitor(args) -> int:
 
 def cmd_bench_compare(args) -> int:
     """Compare benchmark artifacts; exit 1 on regression."""
-    from repro.obs import benchdiff_json, compare_paths
+    from repro.obs import benchdiff_doc, compare_paths
     comparison = compare_paths(args.baseline, args.candidate,
                                rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     if args.json_out:
-        _write_text(args.json_out, benchdiff_json(comparison))
+        save_doc(args.json_out, benchdiff_doc(comparison))
         print(f"[delta report (repro.benchdiff/v1) -> {args.json_out}]")
     table = comparison.table()
     if not args.all_metrics:
@@ -505,13 +493,14 @@ def cmd_bench_compare(args) -> int:
 
 
 def _artifact_stem(path: str) -> str:
-    """``.../BENCH_critpath.json`` -> ``critpath``."""
+    """``.../BENCH_critpath.json`` (or ``.json.gz``) -> ``critpath``."""
     import os
     name = os.path.basename(path or "")
     if name.startswith("BENCH_"):
         name = name[len("BENCH_"):]
-    if name.endswith(".json"):
-        name = name[:-len(".json")]
+    for suffix in (".gz", ".json"):
+        if name.endswith(suffix):
+            name = name[:-len(suffix)]
     return name
 
 
@@ -550,33 +539,16 @@ def cmd_diff(args) -> int:
     attribute the deltas.  Exit 0 when identical within tolerance,
     1 when the runs differ, 2 on usage errors or a malformed input —
     mirroring ``bench-compare``."""
-    import json
+    from repro.obs import diff_docs, diff_narrative, diff_table, load_doc
 
-    from repro.obs import (
-        diff_docs,
-        diff_json,
-        diff_narrative,
-        diff_table,
-        open_text,
-        validate_doc,
-    )
-
-    docs = []
-    for path in (args.base, args.new):
-        try:
-            with open_text(path) as fh:
-                docs.append(json.load(fh))
-            validate_doc(docs[-1])
-        except (OSError, ValueError, ReproError) as exc:
-            raise ReproError(f"{path}: {exc}") from None
-    doc = diff_docs(docs[0], docs[1], tol_s=args.tol)
+    doc = diff_docs(load_doc(args.base), load_doc(args.new), tol_s=args.tol)
     print(diff_table(doc, top=args.top).render())
     if doc["kind"] == "critpath" and not args.no_narrative:
         print()
         for line in diff_narrative(doc, top=args.top):
             print(line)
     if args.out:
-        _write_text(args.out, diff_json(doc))
+        save_doc(args.out, doc)
         print(f"[diff (repro.diff/v1) -> {args.out}]")
     if doc["identical"]:
         print(f"\nOK: runs identical within {doc['tol_s']:g} s")
@@ -590,12 +562,10 @@ def cmd_explain(args) -> int:
     attribution (behind whom, which knob) reconstructed from the
     ``repro.steps/v1`` decision log, reconciled against the traced
     breakdown within 1e-9 s."""
-    import json
-
-    from repro.obs import explain_lines, explain_table, load_steps
+    from repro.obs import STEPS_SCHEMA, explain_lines, explain_table, load_doc
 
     if args.steplog:
-        doc = load_steps(args.steplog)
+        doc = load_doc(args.steplog, STEPS_SCHEMA)
     else:
         from repro.eval import golden_steplog
         doc = golden_steplog(
@@ -603,8 +573,7 @@ def cmd_explain(args) -> int:
             prefill_priority=args.prefill_priority,
         ).to_dict()
     if args.steplog_out:
-        _write_text(args.steplog_out,
-                    json.dumps(doc, indent=2, sort_keys=True))
+        save_doc(args.steplog_out, doc)
         print(f"[step log (repro.steps/v1) -> {args.steplog_out}]")
     if args.request_id is None:
         print(explain_table(
@@ -651,9 +620,7 @@ def cmd_critpath(args) -> int:
     Three modes: the golden service workload (default), one synthetic
     inference (--prompt-tokens), or a fleet roll-up of top gating
     segments (--fleet N)."""
-    import json
-
-    from repro.obs import critpath_doc, narrative_lines, validate_critpath_doc
+    from repro.obs import critpath_doc, narrative_lines
 
     if args.fleet:
         from repro.eval import (
@@ -704,11 +671,7 @@ def cmd_critpath(args) -> int:
             print()
             print(critpath_request_table(paths).render())
     if args.critpath_out:
-        doc = critpath_doc(paths, source=source)
-        validate_critpath_doc(doc)
-        _write_text(args.critpath_out,
-                    json.dumps(doc, indent=2, sort_keys=True,
-                               allow_nan=False))
+        save_doc(args.critpath_out, critpath_doc(paths, source=source))
         print(f"[critpath artifact (repro.critpath/v1) -> "
               f"{args.critpath_out}]")
     return 0

@@ -79,7 +79,7 @@ class InferenceReport:
 
         Returns a :class:`~repro.hw.trace.Trace` containing the prefill
         schedule followed by one event per decoded token on the decode
-        backend; export with ``.save_chrome_trace(path)``.
+        backend.
         """
         from repro.hw.trace import Trace, TraceEvent
         timeline = Trace()

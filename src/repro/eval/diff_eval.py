@@ -16,7 +16,6 @@ job runs ``llmnpu diff`` over the pair and greps for the operator.
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Tuple
 
 from repro.core import LlmNpuEngine
@@ -29,9 +28,9 @@ from repro.obs.critical_path import critical_path, critpath_doc
 from repro.obs.diff import (
     DIFF_TOL_S,
     diff_docs,
-    diff_json,
     diff_narrative,
 )
+from repro.obs.validate import dump_doc, load_doc, save_doc
 from repro.obs.whatif import (
     OperatorSpeedup,
     capture_engine_run,
@@ -91,7 +90,7 @@ def golden_diff_json(**kwargs) -> str:
     """Deterministic JSON of :func:`injected_slowdown_diff` — a pure
     function of its arguments, so ``scripts/check_determinism.sh``
     byte-diffs two independent evaluations."""
-    return diff_json(injected_slowdown_diff(**kwargs))
+    return dump_doc(injected_slowdown_diff(**kwargs))
 
 
 def golden_baseline_critpath_json(**kwargs) -> str:
@@ -99,8 +98,7 @@ def golden_baseline_critpath_json(**kwargs) -> str:
     committed golden the ``bench-compare --explain`` registry re-runs
     regressed benchmarks against."""
     base_doc, _slow_doc = injected_slowdown_docs(**kwargs)
-    return json.dumps(base_doc, indent=2, sort_keys=True,
-                      allow_nan=False)
+    return dump_doc(base_doc)
 
 
 def diff_attribution_table(doc: dict, tag: str = INJECTED_TAG,
@@ -173,10 +171,7 @@ def diff_demo(
     doc = injected_slowdown_diff(model=model, device=device,
                                  prompt_len=prompt_len)
     if diff_out:
-        from repro.obs.export import open_text
-        with open_text(diff_out, "w") as fh:
-            fh.write(diff_json(doc))
-            fh.write("\n")
+        save_doc(diff_out, doc)
     tables = (
         diff_summary_table(
             doc, title=f"Run diff — baseline vs {INJECTED_TAG} slowed "
@@ -241,15 +236,7 @@ def explain_regression(artifact_stem: str) -> Optional[dict]:
     if entry is None:
         return None
     golden_path, fresh = entry
-    from repro.obs.export import open_text
-    try:
-        with open_text(golden_path) as fh:
-            golden = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise EngineError(
-            f"cannot read committed golden {golden_path!r}: {exc}"
-        ) from None
-    return diff_docs(golden, fresh())
+    return diff_docs(load_doc(golden_path), fresh())
 
 
 __all__ = [

@@ -25,7 +25,6 @@ report is byte-identical across processes, which is what
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,6 +51,7 @@ from repro.obs import (
     SloMonitor,
     SloSpec,
     StepLogger,
+    dump_doc,
 )
 
 #: Schema identifier stamped into every fleet SLO report.
@@ -593,8 +593,7 @@ def fleet_golden_json(seed: int = 42, workers: int = 1) -> str:
     must not move when the default fleet seeding does.
     """
     specs = default_fleet(seed=seed, seeding="legacy")
-    return json.dumps(fleet_report(specs=specs, seed=seed,
-                                   workers=workers), sort_keys=True)
+    return dump_doc(fleet_report(specs=specs, seed=seed, workers=workers))
 
 
 # -- the seeded fault-storm scenario (the `monitor` subcommand) ---------------

@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 from repro.errors import EngineError
 from repro.eval.report import Table
 from repro.eval.service_eval import service_golden_records
+from repro.obs.validate import dump_doc, save_doc
 
 
 def service_profile_report(seed: int = 42, batching=None):
@@ -112,7 +113,7 @@ def service_profile(seed: int = 42,
         energy_table(report),
     )
     if profile_out:
-        report.save(profile_out)
+        save_doc(profile_out, report.to_dict())
     return tables
 
 
@@ -126,4 +127,4 @@ def golden_profile_json(seed: int = 42, batching=None) -> str:
     the same bytes.
     """
     report, _service = service_profile_report(seed=seed, batching=batching)
-    return report.to_json()
+    return dump_doc(report.to_dict())

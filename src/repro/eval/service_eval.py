@@ -330,7 +330,8 @@ def service_breakdown(seed: int = 42, trace_out: Optional[str] = None,
     if trace_out:
         export_service_trace(service, trace_out)
     if metrics_out:
-        service.metrics_registry.save(metrics_out)
+        from repro.obs import save_doc
+        save_doc(metrics_out, service.metrics_registry.to_dict())
     return breakdown_table(
         service.requests,
         title=f"Service latency breakdown — golden two-tier scenario "
@@ -626,5 +627,7 @@ def golden_steplog_json(seed: int = 42, batched: bool = True,
     ``scripts/check_determinism.sh`` diffs two independent evaluations
     byte-for-byte; the batching-smoke CI job uploads it as an artifact.
     """
-    return golden_steplog(seed=seed, batched=batched,
-                          prefill_priority=prefill_priority).to_json()
+    from repro.obs import dump_doc
+    return dump_doc(golden_steplog(seed=seed, batched=batched,
+                                   prefill_priority=prefill_priority
+                                   ).to_dict())

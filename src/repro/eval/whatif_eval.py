@@ -17,7 +17,6 @@ Three experiments hang off the tentpole modules:
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core import EngineConfig, LlmNpuEngine
@@ -32,6 +31,7 @@ from repro.obs.critical_path import (
     critpath_doc,
     request_critical_path,
 )
+from repro.obs.validate import dump_doc, save_doc
 from repro.obs.whatif import (
     ProcessorReassign,
     capture_engine_run,
@@ -66,8 +66,7 @@ def golden_critpath_json(seed: int = 42) -> str:
     """Deterministic JSON of :func:`golden_critpath_doc` — a pure
     function of ``seed``, so ``scripts/check_determinism.sh`` byte-diffs
     two independent evaluations and CI schema-checks the same bytes."""
-    return json.dumps(golden_critpath_doc(seed=seed), indent=2,
-                      sort_keys=True, allow_nan=False)
+    return dump_doc(golden_critpath_doc(seed=seed))
 
 
 def critpath_stage_table(paths: Sequence,
@@ -129,9 +128,8 @@ def service_critpath(seed: int = 42,
         critpath_request_table(paths),
     )
     if critpath_out:
-        with open(critpath_out, "w", encoding="utf-8") as fh:
-            fh.write(golden_critpath_json(seed=seed))
-            fh.write("\n")
+        save_doc(critpath_out, critpath_doc(
+            paths, source=f"golden service workload seed={seed}"))
     return tables
 
 

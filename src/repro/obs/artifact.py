@@ -28,7 +28,6 @@ Design rules:
 
 from __future__ import annotations
 
-import json
 import os
 import platform as _platform
 import subprocess
@@ -177,17 +176,6 @@ class BenchArtifact:
             "env": {k: self.env[k] for k in sorted(self.env)},
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
-                          allow_nan=False)
-
-    def save(self, path: str) -> str:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            f.write(self.to_json())
-            f.write("\n")
-        return path
-
 
 def make_artifact(name: str, tables,
                   env: Optional[Dict[str, str]] = None) -> BenchArtifact:
@@ -246,13 +234,12 @@ def validate_bench_doc(doc: dict) -> None:
 
 
 def load_artifact(path: str) -> BenchArtifact:
-    """Read and validate a ``repro.bench/v1`` file."""
+    """Read and validate a ``repro.bench/v1`` file (``.gz`` ok)."""
+    from repro.obs.validate import SchemaError, load_doc
     try:
-        with open(path) as f:
-            data = json.load(f)
-        validate_bench_doc(data)
-    except (OSError, ValueError, ArtifactError) as exc:
-        raise ArtifactError(f"{path!r}: {exc}") from None
+        data = load_doc(path, BENCH_SCHEMA)
+    except SchemaError as exc:
+        raise ArtifactError(str(exc)) from None
     return BenchArtifact(name=str(data["name"]), metrics=data["metrics"],
                          env=dict(data["env"]))
 
@@ -394,12 +381,6 @@ def validate_benchdiff_doc(doc: dict) -> None:
                             f"gating verdict count {n_regressed}")
     if doc["ok"] != (n_regressed == 0):
         raise ArtifactError("ok flag disagrees with the regression count")
-
-
-def benchdiff_json(comparison: Comparison) -> str:
-    """Deterministic JSON bytes of :func:`benchdiff_doc`."""
-    return json.dumps(benchdiff_doc(comparison), indent=2, sort_keys=True,
-                      allow_nan=False)
 
 
 def compare_artifacts(baseline: BenchArtifact, candidate: BenchArtifact,

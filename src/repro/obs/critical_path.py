@@ -35,7 +35,6 @@ plus the document totals.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -177,10 +176,6 @@ class CriticalPath:
             "segments": [s.to_dict() for s in self.segments],
             "slack": [s.to_dict() for s in self.slack],
         }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
-                          allow_nan=False)
 
 
 def _sort_key(e: TraceEvent) -> Tuple[float, float, str]:

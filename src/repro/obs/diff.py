@@ -44,7 +44,6 @@ scenario to auto-emit the critpath attribution.
 
 from __future__ import annotations
 
-import json
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -501,11 +500,6 @@ def diff_docs(base: dict, new: dict, tol_s: float = DIFF_TOL_S) -> dict:
     return doc
 
 
-def diff_json(doc: dict) -> str:
-    """Deterministic JSON bytes of a diff document."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-
-
 # -- validation --------------------------------------------------------------
 
 
@@ -723,7 +717,6 @@ __all__ = [
     "diff_profile_docs",
     "diff_steps_docs",
     "diff_fleet_docs",
-    "diff_json",
     "diff_narrative",
     "diff_table",
     "segment_deltas",

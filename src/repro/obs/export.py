@@ -40,15 +40,18 @@ _OVERLAP_TOL_S = 1e-12
 
 
 def open_text(path: str, mode: str = "r"):
-    """Open a text file, transparently gzipping on a ``.gz`` suffix.
+    """Open a text file, gzipped exactly when ``path`` ends in ``.gz``.
 
     1000-device fleet traces run to hundreds of megabytes uncompressed;
-    every JSONL / Chrome-trace / step-log reader and writer routes
-    through here so ``foo.jsonl.gz`` Just Works.  Writes pin the gzip
-    header (``mtime=0``, no embedded filename), so equal text always
-    compresses to equal bytes regardless of path or wall clock —
-    compressed goldens stay byte-diffable.
+    every artifact, JSONL, Chrome-trace and flamegraph reader and writer
+    routes through here so ``foo.jsonl.gz`` Just Works.  Writes create
+    missing directories and pin the gzip header (``mtime=0``, no
+    embedded filename), so equal text always compresses to equal bytes
+    regardless of path or wall clock — compressed goldens stay
+    byte-diffable.
     """
+    if "w" in mode:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if path.endswith(".gz"):
         if "w" in mode:
             return io.TextIOWrapper(_DeterministicGzipWriter(path),
@@ -194,8 +197,11 @@ def step_counter_events(steps, pid: int = 1) -> List[dict]:
 
 def save_chrome_trace(path: str, tracer: Tracer) -> None:
     """Write the Chrome-trace JSON (deterministic byte output)."""
-    events = to_chrome_trace(tracer)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    _write_chrome(path, to_chrome_trace(tracer))
+
+
+def _write_chrome(path: str, events: List[dict]) -> None:
+    """The one Chrome-trace write: compact sorted-key JSON, a newline."""
     with open_text(path, "w") as f:
         json.dump(events, f, sort_keys=True)
         f.write("\n")
@@ -345,10 +351,7 @@ def export_service_trace(service, path: str,
                              steps=service.steps if counters else None)
     if validate:
         validate_timeline(events)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open_text(path, "w") as f:
-        json.dump(events, f, sort_keys=True)
-        f.write("\n")
+    _write_chrome(path, events)
     return events
 
 
@@ -370,7 +373,6 @@ def write_jsonl(path: str, tracer: Optional[Tracer] = None,
                 metrics: Optional[MetricsRegistry] = None) -> int:
     """Write one JSON object per line; returns the record count."""
     records = jsonl_records(tracer, metrics)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open_text(path, "w") as f:
         for record in records:
             f.write(json.dumps(record, sort_keys=True))

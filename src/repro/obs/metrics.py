@@ -20,14 +20,19 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.obs.schemas import check_quantiles, finite, require_keys
+from repro.obs.schemas import (
+    METRICS_SCHEMA,
+    check_quantiles,
+    check_schema,
+    finite,
+    require_keys,
+)
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -253,15 +258,9 @@ class MetricsRegistry:
         return [self._instruments[key].snapshot()
                 for key in sorted(self._instruments)]
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def save(self, path: str) -> None:
-        import os
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            f.write(self.to_json())
-            f.write("\n")
+    def to_dict(self) -> dict:
+        """The snapshot as a ``repro.metrics/v1`` document."""
+        return {"schema": METRICS_SCHEMA, "metrics": self.snapshot()}
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -283,6 +282,17 @@ def validate_metric_record(record, where: str = "metric") -> None:
             raise MetricsError(f"{where}: {kind} missing numeric {key!r}")
     if kind == "histogram":
         check_quantiles(record, ("p50", "p95", "max"), where, MetricsError)
+
+
+def validate_metrics_doc(doc: dict) -> None:
+    """Validate a ``repro.metrics/v1`` snapshot: a ``metrics`` list whose
+    records each pass :func:`validate_metric_record`."""
+    check_schema(doc, METRICS_SCHEMA, MetricsError)
+    require_keys(doc, ("metrics",), "metrics snapshot", MetricsError)
+    if not isinstance(doc["metrics"], list):
+        raise MetricsError("'metrics' must be a list")
+    for i, record in enumerate(doc["metrics"]):
+        validate_metric_record(record, f"metrics[{i}]")
 
 
 def as_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:

@@ -50,7 +50,6 @@ produced (the no-op guarantee of ``tests/obs/test_noop_regression.py``).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -669,11 +668,6 @@ class SloMonitor:
             "rules": [rule.to_dict() for rule in self.rules],
             "incidents": [inc.to_dict() for inc in incidents],
         }
-
-    def timeline_json(self, source: str = "service",
-                      indent: Optional[int] = None) -> str:
-        return json.dumps(self.timeline(source=source), indent=indent,
-                          sort_keys=True)
 
 
 def validate_timeline_doc(doc: dict) -> None:

@@ -3,7 +3,8 @@
 Every schema-versioned JSON document the repo emits declares itself via
 a ``"schema"`` key whose value lives here and **only** here.  Producer
 modules (``obs/profile.py``, ``obs/artifact.py``, ``obs/monitor.py``,
-``obs/sketch.py``, ``obs/steplog.py``, ``eval/fleet.py``) import their
+``obs/sketch.py``, ``obs/steplog.py``, ``obs/metrics.py``,
+``eval/fleet.py``) import their
 constant from this table, and :func:`repro.obs.validate.validate_doc`
 dispatches on it to the one validator each schema has.
 
@@ -42,6 +43,9 @@ DIFF_SCHEMA = "repro.diff/v1"
 #: Machine-readable ``bench-compare`` delta documents
 #: (``llmnpu bench-compare --json-out``).
 BENCHDIFF_SCHEMA = "repro.benchdiff/v1"
+
+#: Metrics-registry snapshots (``--metrics-out``).
+METRICS_SCHEMA = "repro.metrics/v1"
 
 #: The ``repro.diff/v1`` per-segment status taxonomy: how an aligned
 #: critical-path segment moved between the base and new runs (see
@@ -106,6 +110,7 @@ SCHEMA_TABLE = {
     CRITPATH_SCHEMA: "critical-path attribution with per-segment slack",
     DIFF_SCHEMA: "run-to-run differential attribution",
     BENCHDIFF_SCHEMA: "bench-compare machine-readable delta report",
+    METRICS_SCHEMA: "metrics registry snapshot",
 }
 
 
@@ -156,6 +161,7 @@ __all__ = [
     "CRITPATH_SCHEMA",
     "DIFF_SCHEMA",
     "BENCHDIFF_SCHEMA",
+    "METRICS_SCHEMA",
     "DIFF_STATUSES",
     "DIFF_KINDS",
     "CRITPATH_EDGES",

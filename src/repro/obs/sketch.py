@@ -35,10 +35,10 @@ Design invariants, each load-bearing for the fleet layer:
   the sketch of the pooled stream — order of observation and order of
   merging are both irrelevant.  The property tests in
   ``tests/obs/test_sketch.py`` pin this down.
-* **JSON round-trip.**  :meth:`to_json` / :meth:`from_json` serialize
-  every field losslessly (the exact sum travels as an integer
-  numerator/denominator pair), so device telemetry can cross process
-  boundaries without widening the error bound.
+* **Lossless round-trip.**  :meth:`to_dict` / :meth:`from_dict`
+  carry every field as JSON-safe values (the exact sum travels as an
+  integer numerator/denominator pair), so device telemetry can cross
+  process boundaries without widening the error bound.
 
 Only non-negative samples are accepted: the fleet metrics (latencies,
 energy) are non-negative by construction, and rejecting negatives keeps
@@ -47,10 +47,9 @@ the relative-error statement unconditional.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.errors import ReproError
 
@@ -351,17 +350,6 @@ class QuantileSketch:
             sketch._min = float(data["min"])
             sketch._max = float(data["max"])
         return sketch
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuantileSketch":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SketchError(f"invalid sketch JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     # -- snapshot (MetricsRegistry-style read-out) ----------------------------
 

@@ -26,8 +26,6 @@ byte-identical (``scripts/check_determinism.sh`` enforces this).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -234,34 +232,6 @@ class StepLogger:
             "decisions": [d.to_dict() for d in self.decisions],
             "requests": [_record_to_dict(r) for r in records],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def save(self, path: str) -> str:
-        """Write the log (gzipped on a ``.gz`` suffix)."""
-        from repro.obs.export import open_text
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open_text(path, "w") as f:
-            f.write(self.to_json())
-            f.write("\n")
-        return path
-
-
-def load_steps(path: str) -> dict:
-    """Read and structurally validate a (possibly gzipped)
-    ``repro.steps/v1`` file."""
-    from repro.obs.export import open_text
-    from repro.obs.validate import validate_doc
-    try:
-        with open_text(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as exc:
-        raise StepLogError(f"cannot read step log {path!r}: {exc}") from None
-    check_schema(doc, STEPS_SCHEMA, StepLogError)
-    validate_doc(doc)
-    return doc
-
 
 def validate_steps_doc(doc: dict) -> None:
     """Validate a ``repro.steps/v1`` document: record lists matching

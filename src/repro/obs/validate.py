@@ -1,20 +1,29 @@
-"""One validator per artifact schema, reached through one registry.
+"""One validator, one writer and one reader per artifact schema.
 
-Each ``repro.*/v1`` schema's validator lives next to the code writing
-it; :data:`VALIDATORS` maps every ``"schema"`` string to it and
-:func:`validate_doc` dispatches on a document's stamp.  The fleet
+Each ``repro.*/v1`` schema's validator lives next to the code building
+its document; :data:`VALIDATORS` maps every ``"schema"`` string to it
+and :func:`validate_doc` dispatches on a document's stamp.  The fleet
 report, assembled by ``repro.eval.fleet``, has its validator here.
+
+Every schema-stamped file goes through :func:`save_doc` and
+:func:`load_doc`, which validate on both sides and gzip exactly when
+the path ends in ``.gz``; :func:`dump_doc` is the canonical text both
+use.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import json
+import zlib
+from typing import Callable, Dict, Optional
 
 from repro.errors import ReproError
 from repro.obs import schemas
 from repro.obs.artifact import validate_bench_doc, validate_benchdiff_doc
 from repro.obs.critical_path import validate_critpath_doc
 from repro.obs.diff import validate_diff
+from repro.obs.export import open_text
+from repro.obs.metrics import validate_metrics_doc
 from repro.obs.monitor import validate_timeline_doc
 from repro.obs.profile import validate_profile
 from repro.obs.schemas import (
@@ -75,6 +84,7 @@ VALIDATORS: Dict[str, Callable[[dict], None]] = {
     schemas.CRITPATH_SCHEMA: validate_critpath_doc,
     schemas.DIFF_SCHEMA: validate_diff,
     schemas.BENCHDIFF_SCHEMA: validate_benchdiff_doc,
+    schemas.METRICS_SCHEMA: validate_metrics_doc,
 }
 
 
@@ -101,9 +111,48 @@ def validate_doc(doc: dict) -> str:
     return schema
 
 
+def dump_doc(doc: dict) -> str:
+    """The canonical text of a document: two-space indent, sorted keys,
+    no NaN or infinity; equal documents give equal strings."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+def save_doc(path: str, doc: dict) -> str:
+    """Validate ``doc``, then write its canonical text and a newline to
+    ``path`` (see :func:`~repro.obs.export.open_text`); returns
+    ``path``.  An invalid document raises before the file is opened."""
+    validate_doc(doc)
+    text = dump_doc(doc)
+    with open_text(path, "w") as f:
+        f.write(text)
+        f.write("\n")
+    return path
+
+
+def load_doc(path: str, schema: Optional[str] = None) -> dict:
+    """Read, parse and validate one artifact file (``.gz`` is
+    decompressed), requiring its stamp to be ``schema`` when given.
+    Every failure is one :class:`SchemaError` line naming ``path``."""
+    try:
+        with open_text(path) as f:
+            doc = json.load(f)
+    except (OSError, EOFError, ValueError, zlib.error) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    try:
+        if schema is not None:
+            check_schema(doc, schema, SchemaError)
+        validate_doc(doc)
+    except ReproError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    return doc
+
+
 __all__ = [
     "SchemaError",
     "VALIDATORS",
+    "dump_doc",
+    "load_doc",
+    "save_doc",
     "validate_doc",
     "validate_fleet_doc",
 ]

@@ -133,8 +133,14 @@ class TestTimelineAndProfiling:
     def test_timeline_exports_to_chrome(self, engine, tmp_path):
         import json
         import os
+
+        from repro.obs import Tracer, save_chrome_trace
+        tracer = Tracer()
+        for ev in engine.infer(256, 2).timeline().events:
+            tracer.span(ev.task_id, proc="hw", thread=ev.proc,
+                        start_s=ev.start_s, end_s=ev.end_s, cat=ev.tag)
         path = os.path.join(tmp_path, "timeline.json")
-        engine.infer(256, 2).timeline().save_chrome_trace(path)
+        save_chrome_trace(path, tracer)
         with open(path) as f:
             events = json.load(f)
         assert any(e.get("cat") == "decode" for e in events)

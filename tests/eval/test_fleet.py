@@ -17,7 +17,7 @@ from repro.eval import (
     merged_sketches,
     run_device,
 )
-from repro.obs import QuantileSketch, validate_timeline_doc
+from repro.obs import QuantileSketch, dump_doc, validate_timeline_doc
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ class TestFaultStorm:
     def test_storm_timeline_is_deterministic_and_fires(self):
         first = fault_storm_monitor(seed=42)
         second = fault_storm_monitor(seed=42)
-        assert first.timeline_json() == second.timeline_json()
+        assert dump_doc(first.timeline()) == dump_doc(second.timeline())
         doc = first.timeline()
         validate_timeline_doc(doc)
         firing = [inc for inc in doc["incidents"]

@@ -1,9 +1,10 @@
-"""Tests for Chrome-trace export."""
+"""Chrome-trace export of hardware schedules, and trace edge cases."""
 
 import json
 import os
 
 from repro.hw.trace import Trace, TraceEvent
+from repro.obs import Tracer, save_chrome_trace, to_chrome_trace
 
 
 def make_trace():
@@ -14,34 +15,48 @@ def make_trace():
     return trace
 
 
+def hw_tracer(trace):
+    """One span per task, processors as threads of one ``hw`` process —
+    the shape ``llmnpu infer --trace-out`` hands the Chrome exporter."""
+    tracer = Tracer()
+    for ev in trace.events:
+        tracer.span(ev.task_id, proc="hw", thread=ev.proc,
+                    start_s=ev.start_s, end_s=ev.end_s, cat=ev.tag)
+    return tracer
+
+
+def chrome(trace):
+    return to_chrome_trace(hw_tracer(trace))
+
+
 class TestChromeTrace:
     def test_one_complete_event_per_task(self):
-        events = make_trace().to_chrome_trace()
+        events = chrome(make_trace())
         complete = [e for e in events if e["ph"] == "X"]
         assert len(complete) == 3
 
     def test_thread_metadata(self):
-        events = make_trace().to_chrome_trace()
-        meta = [e for e in events if e["ph"] == "M"]
-        names = {e["args"]["name"] for e in meta}
+        events = chrome(make_trace())
+        names = {e["args"]["name"] for e in events
+                 if e["name"] == "thread_name"}
         assert names == {"cpu", "npu"}
 
     def test_microsecond_timestamps(self):
-        events = make_trace().to_chrome_trace()
+        events = chrome(make_trace())
         c = next(e for e in events if e.get("name") == "c")
         assert c["ts"] == 1000.0
         assert c["dur"] == 2000.0
 
     def test_tids_match_processor(self):
-        events = make_trace().to_chrome_trace()
+        events = chrome(make_trace())
         meta = {e["args"]["name"]: e["tid"]
-                for e in events if e["ph"] == "M"}
+                for e in events if e["name"] == "thread_name"}
         a = next(e for e in events if e.get("name") == "a")
         assert a["tid"] == meta["npu"]
 
     def test_save_is_valid_json(self, tmp_path):
         path = os.path.join(tmp_path, "traces", "run.json")
-        make_trace().save_chrome_trace(path)
+        save_chrome_trace(path, hw_tracer(make_trace()))
         with open(path) as f:
             data = json.load(f)
         assert isinstance(data, list)
@@ -53,7 +68,7 @@ class TestChromeTrace:
             "Qwen1.5-1.8B", "Redmi K70 Pro"
         ).prefill(256)
         path = os.path.join(tmp_path, "prefill.json")
-        report.trace.save_chrome_trace(path)
+        save_chrome_trace(path, hw_tracer(report.trace))
         with open(path) as f:
             events = json.load(f)
         complete = [e for e in events if e["ph"] == "X"]
@@ -63,50 +78,16 @@ class TestChromeTrace:
         """Equal traces serialize to byte-identical files."""
         p1 = os.path.join(tmp_path, "a.json")
         p2 = os.path.join(tmp_path, "b.json")
-        make_trace().save_chrome_trace(p1)
-        make_trace().save_chrome_trace(p2)
+        save_chrome_trace(p1, hw_tracer(make_trace()))
+        save_chrome_trace(p2, hw_tracer(make_trace()))
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_untagged_events_export_as_task_cat(self):
         trace = Trace()
         trace.add(TraceEvent("plain", "npu", 0.0, 0.001))
-        events = trace.to_chrome_trace()
+        events = chrome(trace)
         plain = next(e for e in events if e.get("name") == "plain")
         assert plain["cat"] == "task"
-
-
-class TestChromeRoundTrip:
-    def test_reload_matches_counts_and_durations(self, tmp_path):
-        trace = make_trace()
-        path = os.path.join(tmp_path, "rt.json")
-        trace.save_chrome_trace(path)
-        again = Trace.load_chrome_trace(path)
-        assert len(again.events) == len(trace.events)
-        assert again.processors() == trace.processors()
-        for a, b in zip(sorted(trace.events, key=lambda e: e.task_id),
-                        sorted(again.events, key=lambda e: e.task_id)):
-            assert a.task_id == b.task_id
-            assert a.proc == b.proc
-            assert a.tag == b.tag
-            assert abs(a.duration_s - b.duration_s) < 1e-12
-
-    def test_untagged_round_trips_to_untagged(self, tmp_path):
-        trace = Trace()
-        trace.add(TraceEvent("plain", "npu", 0.0, 0.001))
-        path = os.path.join(tmp_path, "rt.json")
-        trace.save_chrome_trace(path)
-        again = Trace.load_chrome_trace(path)
-        assert again.events[0].tag == ""
-        # ...so busy_by_tag buckets agree before and after the trip
-        assert again.busy_by_tag() == trace.busy_by_tag()
-
-    def test_missing_thread_metadata_rejected(self):
-        import pytest
-        from repro.errors import SchedulingError
-        events = [{"name": "x", "cat": "task", "ph": "X", "pid": 0,
-                   "tid": 3, "ts": 0.0, "dur": 1.0}]
-        with pytest.raises(SchedulingError):
-            Trace.from_chrome_trace(events)
 
 
 class TestTraceMetricsEdgeCases:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -105,12 +107,17 @@ class TestProfileCommand:
 class TestBenchCompareCommand:
     def _artifact(self, tmp_path, name, e2e):
         from repro.eval.report import Table
-        from repro.obs import make_artifact
+        from repro.obs import make_artifact, save_doc
         table = Table(title="t", columns=["config", "e2e s"])
         table.add_row("baseline", e2e)
-        return make_artifact("t", table, env={}).save(
-            str(tmp_path / f"BENCH_{name}.json")
-        )
+        return save_doc(str(tmp_path / f"BENCH_{name}.json"),
+                        make_artifact("t", table, env={}).to_dict())
+
+    @pytest.mark.parametrize("path", ["BENCH_critpath.json",
+                                      "base/BENCH_critpath.json.gz"])
+    def test_explain_stem_ignores_the_gz_suffix(self, path):
+        from repro.cli import _artifact_stem
+        assert _artifact_stem(path) == "critpath"
 
     def test_identical_artifacts_pass(self, tmp_path, capsys):
         base = self._artifact(tmp_path, "a", 2.0)
@@ -376,3 +383,85 @@ class TestExplainCommand:
         # the written file feeds back through --steplog
         assert main(["explain", "7", "--steplog", str(path)]) == 0
         assert "request 00007" in capsys.readouterr().out
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
+BENCH = os.path.join(ROOT, "benchmarks", "results", "json",
+                     "BENCH_service_load.json")
+
+#: Every artifact flag: (row id, command line before the flag, flag).
+#: ``{tmp}`` is the test's directory, ``{critpath}`` a saved
+#: ``repro.critpath/v1`` document for ``diff`` to read.
+ARTIFACT_FLAGS = [
+    ("profile", ["profile", "--prompt-tokens", "256",
+                 "--output-tokens", "2"], "--profile-out"),
+    ("trace-metrics", ["trace", "--trace-out", "{tmp}/trace.json"],
+     "--metrics-out"),
+    ("infer-metrics", ["infer", "--prompt-tokens", "256",
+                       "--output-tokens", "2"], "--metrics-out"),
+    ("fleet-report", ["fleet", "--devices", "1"], "--report-out"),
+    ("fleet-alerts", ["fleet", "--devices", "1"], "--alerts-out"),
+    ("monitor-alerts", ["monitor"], "--alerts-out"),
+    ("critpath", ["critpath", "--prompt-tokens", "256"], "--critpath-out"),
+    ("explain-steplog", ["explain", "--batched"], "--steplog-out"),
+    ("diff", ["diff", "{critpath}", "{critpath}"], "--out"),
+    ("bench-compare", ["bench-compare", BENCH, BENCH], "--json-out"),
+]
+
+
+@pytest.fixture(scope="module")
+def check_file():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "check_trace_schema",
+        os.path.join(ROOT, "scripts", "check_trace_schema.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.check_file
+
+
+@pytest.fixture(scope="module")
+def critpath_input(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("critpath") / "critpath.json")
+    assert main(["critpath", "--prompt-tokens", "256",
+                 "--critpath-out", path]) == 0
+    return path
+
+
+class TestArtifactRoundTrip:
+    """Each artifact flag writes gzip exactly when its path ends in
+    ``.gz``, the schema checker accepts the file, and ``load_doc`` reads
+    the same document back from either suffix."""
+
+    @pytest.mark.parametrize("argv,flag",
+                             [row[1:] for row in ARTIFACT_FLAGS],
+                             ids=[row[0] for row in ARTIFACT_FLAGS])
+    def test_flag_round_trips_plain_and_gzipped(self, argv, flag, tmp_path,
+                                                critpath_input, check_file,
+                                                capsys):
+        from repro.obs import load_doc
+        args = [a.format(tmp=tmp_path, critpath=critpath_input)
+                for a in argv]
+        docs = []
+        for suffix in (".json", ".json.gz"):
+            path = str(tmp_path / "out" / f"artifact{suffix}")
+            assert main(args + [flag, path]) == 0, capsys.readouterr().err
+            with open(path, "rb") as f:
+                is_gzip = f.read(2) == b"\x1f\x8b"
+            assert is_gzip == suffix.endswith(".gz")
+            check_file(path)
+            docs.append(load_doc(path))
+        assert docs[0] == docs[1]
+
+    def test_bench_compare_reads_gzipped_artifacts(self, tmp_path, capsys):
+        import gzip
+        import shutil
+        copies = []
+        for name in ("base", "new"):
+            path = str(tmp_path / name / "BENCH_service_load.json.gz")
+            os.makedirs(os.path.dirname(path))
+            with open(BENCH, "rb") as src, gzip.open(path, "wb") as dst:
+                shutil.copyfileobj(src, dst)
+            copies.append(path)
+        assert main(["bench-compare", *copies]) == 0
+        assert "OK:" in capsys.readouterr().out

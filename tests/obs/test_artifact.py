@@ -14,14 +14,15 @@ from repro.obs import (
     ArtifactError,
     BenchArtifact,
     benchdiff_doc,
-    benchdiff_json,
     capture_env,
     compare_artifacts,
     compare_paths,
+    dump_doc,
     load_artifact,
     make_artifact,
     metric_direction,
     metrics_from_table,
+    save_doc,
 )
 
 
@@ -106,7 +107,8 @@ class TestArtifactIO:
     def test_round_trip(self, tmp_path):
         artifact = make_artifact("smoke", latency_table(),
                                  env={"git_sha": "abc"})
-        path = artifact.save(str(tmp_path / "BENCH_smoke.json"))
+        path = save_doc(str(tmp_path / "BENCH_smoke.json"),
+                        artifact.to_dict())
         loaded = load_artifact(path)
         assert loaded.name == "smoke"
         assert loaded.metrics == artifact.metrics
@@ -137,7 +139,7 @@ class TestArtifactIO:
 
     def test_json_is_deterministic(self):
         artifact = make_artifact("d", latency_table(), env={})
-        assert artifact.to_json() == artifact.to_json()
+        assert dump_doc(artifact.to_dict()) == dump_doc(artifact.to_dict())
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -235,7 +237,8 @@ class TestCompare:
 class TestComparePaths:
     def write(self, directory, name, **kwargs):
         artifact = make_artifact(name, latency_table(**kwargs), env={})
-        return artifact.save(str(directory / f"BENCH_{name}.json"))
+        return save_doc(str(directory / f"BENCH_{name}.json"),
+                        artifact.to_dict())
 
     def test_file_mode(self, tmp_path):
         base = self.write(tmp_path, "a")
@@ -342,8 +345,8 @@ class TestBenchdiffDoc:
     def test_json_is_deterministic_and_nan_free(self):
         base = make_artifact("run", latency_table(), env={})
         comparison = compare_artifacts(base, base)
-        text = benchdiff_json(comparison)
-        assert text == benchdiff_json(comparison)
+        text = dump_doc(benchdiff_doc(comparison))
+        assert text == dump_doc(benchdiff_doc(comparison))
         doc = json.loads(text)
         assert doc["ok"] is True
         assert doc["n_regressed"] == 0

@@ -27,11 +27,13 @@ from repro.obs import (
     diff_critpath_docs,
     diff_docs,
     diff_fleet_docs,
-    diff_json,
     diff_narrative,
     diff_profile_docs,
     diff_steps_docs,
     diff_table,
+    dump_doc,
+    load_doc,
+    save_doc,
     segment_deltas,
     validate_diff,
 )
@@ -103,9 +105,9 @@ class TestInjectedSlowdown:
 
     def test_validate_accepts_and_json_roundtrips(self, injected_diff):
         validate_diff(injected_diff)
-        text = diff_json(injected_diff)
+        text = dump_doc(injected_diff)
         assert json.loads(text) == injected_diff
-        assert text == diff_json(injected_diff)
+        assert text == dump_doc(injected_diff)
 
     def test_segment_deltas_cover_the_e2e_delta(self, injected_diff):
         deltas = segment_deltas(injected_diff)
@@ -214,7 +216,7 @@ class TestValidateDiff:
                            "identical": True})
 
     def test_rejects_broken_conservation(self, injected_diff):
-        doc = json.loads(diff_json(injected_diff))
+        doc = json.loads(dump_doc(injected_diff))
         doc["requests"][0]["segments"][0]["delta_s"] += 1.0
         with pytest.raises(DiffError):
             validate_diff(doc)
@@ -235,7 +237,7 @@ class TestValidateDiff:
             validate_diff(doc)
 
     def test_rejects_identical_flag_on_a_moving_diff(self, injected_diff):
-        doc = json.loads(diff_json(injected_diff))
+        doc = json.loads(dump_doc(injected_diff))
         doc["identical"] = True
         with pytest.raises(DiffError):
             validate_diff(doc)
@@ -405,19 +407,13 @@ class TestEvalSurface:
 
 class TestGzipRoundTrip:
     def test_diff_json_gzip_round_trip(self, tmp_path, injected_diff):
-        from repro.obs import open_text
-        path = str(tmp_path / "diff.json.gz")
-        with open_text(path, "w") as fh:
-            fh.write(diff_json(injected_diff))
-        with open_text(path) as fh:
-            assert json.load(fh) == injected_diff
+        path = save_doc(str(tmp_path / "diff.json.gz"), injected_diff)
+        assert load_doc(path, DIFF_SCHEMA) == injected_diff
         with gzip.open(path, "rb") as fh:
             assert fh.read(1) == b"{"
 
     def test_gzip_bytes_are_deterministic(self, tmp_path, injected_diff):
-        from repro.obs import open_text
         a, b = str(tmp_path / "a.gz"), str(tmp_path / "b.gz")
         for path in (a, b):
-            with open_text(path, "w") as fh:
-                fh.write(diff_json(injected_diff))
+            save_doc(path, injected_diff)
         assert open(a, "rb").read() == open(b, "rb").read()

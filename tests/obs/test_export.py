@@ -286,13 +286,11 @@ class TestGzipTransparency:
 
     def test_steplog_save_load_gzip(self, tmp_path):
         from repro.eval import golden_steplog
-        from repro.obs import load_steps
-        steplog = golden_steplog(seed=42, batched=True)
-        plain = tmp_path / "steps.json"
-        packed = tmp_path / "steps.json.gz"
-        steplog.save(str(plain))
-        steplog.save(str(packed))
-        assert load_steps(str(packed)) == load_steps(str(plain))
+        from repro.obs import load_doc, save_doc
+        doc = golden_steplog(seed=42, batched=True).to_dict()
+        plain = save_doc(str(tmp_path / "steps.json"), doc)
+        packed = save_doc(str(tmp_path / "steps.json.gz"), doc)
+        assert load_doc(packed) == load_doc(plain) == doc
 
 
 class TestDeltaMarking:

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from repro.obs import MetricsError, MetricsRegistry, as_registry
+from repro.obs import (
+    METRICS_SCHEMA,
+    MetricsError,
+    MetricsRegistry,
+    as_registry,
+    dump_doc,
+    load_doc,
+    save_doc,
+)
 
 
 class TestInstruments:
@@ -132,16 +140,17 @@ class TestReadOnlyAndExport:
         b.gauge("depth", tier="lo").set(2)
         b.histogram("lat", tier="hi").observe(1.0)
         b.counter("z").inc()
-        assert a.to_json() == b.to_json()
+        assert dump_doc(a.to_dict()) == dump_doc(b.to_dict())
 
     def test_save_round_trips(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("requests", tier="x").inc(5)
         reg.histogram("lat").observe(0.5)
         path = str(tmp_path / "m" / "metrics.json")
-        reg.save(path)
-        data = json.loads(open(path).read())
-        by_name = {d["name"]: d for d in data}
+        save_doc(path, reg.to_dict())
+        data = load_doc(path, METRICS_SCHEMA)
+        assert data == reg.to_dict()
+        by_name = {d["name"]: d for d in data["metrics"]}
         assert by_name["requests"]["value"] == 5.0
         assert by_name["lat"]["count"] == 1
 

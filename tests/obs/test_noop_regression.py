@@ -10,7 +10,7 @@ import pytest
 
 from repro.eval import service_golden_records, service_golden_snapshot
 from repro.eval.fleet import FLEET_SLOS, fault_storm_monitor
-from repro.obs import MetricsRegistry, SloMonitor, Tracer
+from repro.obs import MetricsRegistry, SloMonitor, Tracer, dump_doc
 
 SEED = 42
 
@@ -109,8 +109,8 @@ class TestMonitoringIsPureObservation:
         assert "\n".join(lines) == service_golden_snapshot(SEED)
 
     def test_storm_timeline_deterministic(self):
-        assert fault_storm_monitor(seed=SEED).timeline_json() == \
-            fault_storm_monitor(seed=SEED).timeline_json()
+        assert dump_doc(fault_storm_monitor(seed=SEED).timeline()) == \
+            dump_doc(fault_storm_monitor(seed=SEED).timeline())
 
     def test_storm_firing_alerts_cross_link(self):
         doc = fault_storm_monitor(seed=SEED).timeline()

@@ -13,11 +13,13 @@ from repro.obs import (
     DECISION_ACTIONS,
     Decision,
     StepLogError,
+    SchemaError,
     StepLogger,
     as_steps_doc,
     decision_mix,
-    load_steps,
+    load_doc,
     occupancy_summary,
+    save_doc,
     starved_requests,
     validate_steps_doc,
 )
@@ -76,8 +78,8 @@ class TestGoldenStepLog:
 
     def test_save_load_roundtrip(self, tmp_path, batched_doc):
         logger = golden_steplog(seed=42, batched=True)
-        path = logger.save(str(tmp_path / "steps.json"))
-        assert load_steps(path) == logger.to_dict()
+        path = save_doc(str(tmp_path / "steps.json"), logger.to_dict())
+        assert load_doc(path, STEPS_SCHEMA) == logger.to_dict()
 
     def test_json_export_is_deterministic(self):
         assert golden_steplog_json(seed=42, batched=True) == \
@@ -130,14 +132,14 @@ class TestValidation:
             validate_steps_doc(doc)
 
     def test_load_unreadable(self, tmp_path):
-        with pytest.raises(StepLogError, match="cannot read"):
-            load_steps(str(tmp_path / "nope.json"))
+        with pytest.raises(SchemaError, match="cannot read .*nope.json"):
+            load_doc(str(tmp_path / "nope.json"), STEPS_SCHEMA)
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(StepLogError, match="cannot read"):
-            load_steps(str(path))
+        with pytest.raises(SchemaError, match="cannot read .*broken.json"):
+            load_doc(str(path), STEPS_SCHEMA)
 
     def test_as_steps_doc_rejects_garbage(self):
         with pytest.raises(StepLogError, match="cannot interpret"):
@@ -211,8 +213,8 @@ class TestSchemaCheckerAcceptsStepLog:
         import subprocess
         import sys
         root = os.path.join(os.path.dirname(__file__), "..", "..")
-        path = golden_steplog(seed=42, batched=True).save(
-            str(tmp_path / "steps.json"))
+        path = save_doc(str(tmp_path / "steps.json"),
+                        golden_steplog(seed=42, batched=True).to_dict())
         proc = subprocess.run(
             [sys.executable, "scripts/check_trace_schema.py", path],
             capture_output=True, text=True, cwd=root,

@@ -34,9 +34,12 @@ from repro.obs import (
     critical_path,
     critpath_doc,
     diff_critpath_docs,
+    dump_doc,
     jsonl_records,
+    load_doc,
     make_artifact,
     profile_inference,
+    save_doc,
     to_chrome_trace,
     validate_doc,
     validate_jsonl,
@@ -149,6 +152,7 @@ def _valid_docs():
         "diff-self": diff_critpath_docs(base, base),
         "repro.benchdiff/v1": benchdiff_doc(
             compare_artifacts(bench_a, bench_b)),
+        "repro.metrics/v1": _metrics().to_dict(),
         "chrome": chrome,
         "jsonl": jsonl_records(tracer, _metrics()),
     }
@@ -380,6 +384,13 @@ CASES = [
      _empty_histogram(_set("p50", 1.0))),
     ("jsonl", "non-finite 'p95'",
      _metric("histogram", _set("p95", None))),
+    # repro.metrics/v1
+    ("repro.metrics/v1", "expected schema 'repro.metrics/v1'", None),
+    ("repro.metrics/v1", "metrics snapshot: missing 'metrics'",
+     _delete("metrics")),
+    ("repro.metrics/v1", "'metrics' must be a list", _set("metrics", {})),
+    ("repro.metrics/v1", "metrics[2]: gauge missing numeric 'value'",
+     _set("metrics", 2, "value", None)),
     # repro.profile/v1
     ("repro.profile/v1", "expected schema 'repro.profile/v1'", None),
     ("repro.profile/v1", "profile: missing 'flamegraph'",
@@ -765,3 +776,43 @@ class TestScriptProcess:
         result = subprocess.run([sys.executable, SCRIPT],
                                 capture_output=True, text=True)
         assert result.returncode == 2
+
+
+class TestDocIO:
+    """``save_doc`` / ``load_doc`` / ``dump_doc``: the one artifact
+    writer, reader and canonical text."""
+
+    def test_invalid_document_leaves_no_file(self, tmp_path):
+        doc = _doc("repro.critpath/v1")
+        doc["n_paths"] += 1
+        path = tmp_path / "out" / "critpath.json.gz"
+        with pytest.raises(ReproError):
+            save_doc(str(path), doc)
+        assert not path.exists()
+
+    def test_plain_file_is_the_canonical_text(self, tmp_path):
+        doc = _doc("repro.bench/v1")
+        path = save_doc(str(tmp_path / "BENCH_demo.json"), doc)
+        with open(path) as f:
+            assert f.read() == dump_doc(doc) + "\n"
+        assert dump_doc(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_dump_rejects_nan(self):
+        with pytest.raises(ValueError):
+            dump_doc({"schema": "repro.sketch/v1", "x": math.nan})
+
+    def test_load_names_the_path_and_the_expected_schema(self, tmp_path):
+        path = save_doc(str(tmp_path / "bench.json"), _doc("repro.bench/v1"))
+        with pytest.raises(SchemaError) as info:
+            load_doc(path, "repro.steps/v1")
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert "expected schema 'repro.steps/v1'" in message
+
+    @pytest.mark.parametrize("payload", [b"", b"{not json", b"\x1f\x8b\x08"])
+    def test_unreadable_files_are_one_line_errors(self, payload, tmp_path):
+        path = tmp_path / "broken.json.gz"
+        path.write_bytes(payload)
+        with pytest.raises(SchemaError, match="cannot read") as info:
+            load_doc(str(path))
+        assert "\n" not in str(info.value)
